@@ -168,7 +168,6 @@ def _run_config(args) -> RunConfig:
         cfg.s_value = args.s_value
     if args.s_quantile is not None:
         cfg.s_quantile = args.s_quantile
-        cfg.s_mode = "quantile" if args.s_mode is None else cfg.s_mode
     if args.whitening is not None:
         cfg.whitening = args.whitening == "on"
     return cfg
@@ -475,7 +474,7 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--m", type=int, help="candidate pool size per selected point")
     sub.add_argument("--theta", type=float)
-    sub.add_argument("--s-mode", choices=("fixed", "adaptive", "quantile"), dest="s_mode")
+    sub.add_argument("--s-mode", choices=("fixed", "adaptive"), dest="s_mode")
     sub.add_argument("--s-value", type=float, dest="s_value")
     sub.add_argument("--s-quantile", type=float, dest="s_quantile")
     sub.add_argument("--whitening", choices=("on", "off"))

@@ -153,14 +153,17 @@ def eval_batch(
     """Evaluate many unit-scale points; results come back in request order.
 
     Builtin models loop; external models fan the requests out over the worker
-    pool.  Ledger records land in completion order either way.
+    pool.  Ledger records land in request order either way: the threaded path
+    keeps each ``(value, duration_ms)`` and appends them after the workers
+    have joined.  If a worker fails, every completed record is still appended
+    (in request order) before the first error is raised.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if model.kind == "builtin" or model.pool is None or len(model.pool.workers) == 1:
         return np.array([eval_logf(model, u, ledger) for u in points])
     units = np.clip(points, 0.0, 1.0)
     origs = None if model.has_identity_box else model.to_original(units)
-    out = np.empty(len(units))
+    done: list[tuple[float, float] | None] = [None] * len(units)
     errors: list[Exception] = []
 
     def run_chunk(worker_idx: int) -> None:
@@ -174,9 +177,7 @@ def eval_batch(
                     raise DensityProtocolError(
                         f"density returned NaN at point {units[i].tolist()}"
                     )
-                val = max(val, LOGF_FLOOR)
-                ledger.append(units[i], val, (time.perf_counter() - t0) * 1e3)
-                out[i] = val
+                done[i] = (max(val, LOGF_FLOOR), (time.perf_counter() - t0) * 1e3)
         except Exception as exc:  # surfaced after join
             errors.append(exc)
 
@@ -188,9 +189,12 @@ def eval_batch(
         t.start()
     for t in threads:
         t.join()
+    for u, record in zip(units, done):
+        if record is not None:
+            ledger.append(u, *record)
     if errors:
         raise errors[0]
-    return out
+    return np.array([val for val, _ in done])
 
 
 def make_banana() -> DensityModel:

@@ -15,7 +15,17 @@ from scipy.special import gammaln, ndtr
 
 from .engine import Design
 from .errors import ConfigError
-from .geometry import DistanceSpec, charge_log, identity_spec, log_dist_block, psi_log
+from .geometry import (
+    DistanceSpec,
+    charge_log,
+    dim_sum_block,
+    identity_spec,
+    log_dist_block,
+    psi_log,
+)
+
+# Elements of the (rows, n, p) cross-term block in cl2_discrepancy: 8 MB.
+CL2_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,20 @@ def cl2_discrepancy(points: np.ndarray) -> float:
         raise ConfigError("points must lie in the unit cube")
     c = np.abs(points - 0.5)
     term2 = np.prod(1.0 + 0.5 * c - 0.5 * c**2, axis=1).sum() * (2.0 / n)
-    cross = (
-        1.0
-        + 0.5 * c[:, None, :]
-        + 0.5 * c[None, :, :]
-        - 0.5 * np.abs(points[:, None, :] - points[None, :, :])
-    )
-    term3 = np.prod(cross, axis=2).sum() / (n * n)
+    # cross-term products a block of rows at a time; one .sum() over the
+    # (n, n) matrix keeps the result bit-identical to the n x n x p form
+    prods = np.empty((n, n))
+    rows = max(1, CL2_BLOCK_ELEMENTS // (n * p))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        cross = (
+            1.0
+            + 0.5 * c[lo:hi, None, :]
+            + 0.5 * c[None, :, :]
+            - 0.5 * np.abs(points[lo:hi, None, :] - points[None, :, :])
+        )
+        np.prod(cross, axis=2, out=prods[lo:hi])
+    term3 = prods.sum() / (n * n)
     sq = (13.0 / 12.0) ** p - term2 + term3
     return math.sqrt(max(sq, 0.0))
 
@@ -156,8 +173,7 @@ def probability_balance(design: Design) -> tuple[np.ndarray, float]:
     n, p = points.shape
     if n < 2:
         raise ConfigError("probability balance needs at least 2 points")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = np.sqrt(dim_sum_block(points, points, 2.0))
     log_volume_const = (p / 2.0) * math.log(math.pi) - gammaln(p / 2.0 + 1.0)
     with np.errstate(divide="ignore"):
         log_p = (

@@ -316,11 +316,12 @@ def _argmax_min_term(
         size = 32 if pos == 0 else 128
         stop = min(pos + size, total)
         idx = np.nonzero(alive)[0]
-        terms = (
-            cand_part[idx][:, None]
-            + cond_part[None, pos:stop]
-            + two_p * log_dist_block(cand[idx], cond[pos:stop], s)
-        )
+        # (cand_part + cond_part) + two_p * logd, built in place in that
+        # association so the scores stay bit-identical
+        terms = np.add(cand_part[idx][:, None], cond_part[None, pos:stop])
+        logd = log_dist_block(cand[idx], cond[pos:stop], s)
+        logd *= two_p
+        terms += logd
         ub[idx] = np.minimum(ub[idx], terms.min(axis=1))
         pos = stop
         if level == -np.inf and pos < total:

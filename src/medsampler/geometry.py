@@ -111,18 +111,84 @@ def dist_s(u: np.ndarray, v: np.ndarray, spec: DistanceSpec) -> float:
     return float(np.mean(diff**s) ** (1.0 / s))
 
 
+def dim_sum_block(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    """Per-pair sums over dimensions of ``|a_l - b_l|**s`` for two blocks.
+
+    ``a`` has shape (m, p) and ``b`` (j, p); the result is (m, j).  Below
+    ``S_ZERO_THRESHOLD`` the summand is ``log|a_l - b_l|`` instead.  No
+    (m, j, p) tensor is built: each dimension is computed into an (m, j)
+    buffer and added into accumulators in exactly the order numpy's pairwise
+    summation uses for ``.sum(axis=2)`` over that tensor (C-ordered), so the
+    result is bit-identical to the tensor formula.
+    """
+    at = np.ascontiguousarray(np.asarray(a, dtype=float).T)
+    bt = np.ascontiguousarray(np.asarray(b, dtype=float).T)
+    with np.errstate(divide="ignore"):
+        return _pairwise_dims(at, bt, s, 0, at.shape[0])
+
+
+def _dim_term(at: np.ndarray, bt: np.ndarray, s: float, l: int) -> np.ndarray:
+    buf = np.subtract(at[l][:, None], bt[l][None, :])
+    np.abs(buf, out=buf)
+    if s < S_ZERO_THRESHOLD:
+        np.log(buf, out=buf)
+    else:
+        buf **= s
+    return buf
+
+
+def _pairwise_dims(at: np.ndarray, bt: np.ndarray, s: float, lo: int, n: int) -> np.ndarray:
+    """numpy's ``pairwise_sum`` over dimensions ``lo .. lo+n-1``, one (m, j) slice at a time."""
+    if n < 8:
+        acc = _dim_term(at, bt, s, lo)
+        for l in range(lo + 1, lo + n):
+            acc += _dim_term(at, bt, s, l)
+        return acc
+    if n <= 128:
+        # lane k holds dims k, k+8, ... below `body`; lanes combine as
+        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), built pairwise so only a few
+        # (m, j) buffers are live at once
+        body = n - n % 8
+
+        def lanes(k: int, width: int) -> np.ndarray:
+            if width == 1:
+                acc = _dim_term(at, bt, s, lo + k)
+                for l in range(lo + k + 8, lo + body, 8):
+                    acc += _dim_term(at, bt, s, l)
+                return acc
+            acc = lanes(k, width // 2)
+            acc += lanes(k + width // 2, width // 2)
+            return acc
+
+        res = lanes(0, 8)
+        for l in range(lo + body, lo + n):
+            res += _dim_term(at, bt, s, l)
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    res = _pairwise_dims(at, bt, s, lo, n2)
+    res += _pairwise_dims(at, bt, s, lo + n2, n - n2)
+    return res
+
+
 def log_dist_block(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     """Log generalized distances between two pre-whitened blocks.
 
     ``a`` has shape (m, p) and ``b`` (j, p); the result is (m, j).  Coincident
     pairs produce ``-inf``.  The ``1/s * log mean`` form avoids overflow for
-    small exponents.
+    small exponents.  Bit-identical to ``np.log((diff**s).mean(axis=2)) / s``
+    (``np.log(diff).mean(axis=2)`` below the s threshold) over the (m, j, p)
+    tensor ``diff = |a[:, None] - b[None]|``, without building it.
     """
-    diff = np.abs(a[:, None, :] - b[None, :, :])
+    p = np.shape(a)[1]
+    out = dim_sum_block(a, b, s)
+    out /= p
+    if s < S_ZERO_THRESHOLD:
+        return out
     with np.errstate(divide="ignore"):
-        if s < S_ZERO_THRESHOLD:
-            return np.log(diff).mean(axis=2)
-        return np.log((diff**s).mean(axis=2)) / s
+        np.log(out, out=out)
+    out /= s
+    return out
 
 
 def pair_term_log(

@@ -78,6 +78,21 @@ class TestGenerate:
         report = json.loads((out / "report.json").read_text())
         assert report["p"] == 3
 
+    def test_s_quantile_keeps_adaptive_mode(self, tmp_path):
+        out = tmp_path / "q"
+        code = main(
+            ["generate", "--density", "banana", "--K", "2", "--s-quantile", "0.1", "--out", str(out)]
+        )
+        assert code == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config["s_mode"] == "adaptive"
+        assert config["s_quantile"] == 0.1
+
+    def test_s_mode_quantile_is_not_a_choice(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "--density", "banana", "--s-mode", "quantile", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+
     def test_missing_density_is_usage_error(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x")]) == 2
 

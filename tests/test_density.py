@@ -23,6 +23,7 @@ from medsampler.errors import (
     DensityProtocolError,
     SingularCovarianceError,
 )
+from medsampler.fileio import ledger_digest
 from medsampler.geometry import LOGF_FLOOR
 
 
@@ -201,6 +202,16 @@ ECHO_CHILD = """
         print(json.dumps({"id": req["id"], "logf": val}), flush=True)
 """
 
+SLOW_FIRST_CHILD = """
+    import json, sys, time
+    for line in sys.stdin:
+        req = json.loads(line)
+        x = req["x"][0]
+        if x < 0.1:
+            time.sleep(0.2)
+        print(json.dumps({"id": req["id"], "logf": -x * x}), flush=True)
+"""
+
 
 class TestExternal:
     def test_round_trip(self, tmp_path):
@@ -301,13 +312,39 @@ class TestExternal:
                 eval_logf(m, np.array([0.5]), EvaluationLedger())
 
     def test_batch_concurrency_preserves_order(self, tmp_path):
-        cmd = child_script(tmp_path, ECHO_CHILD)
+        # the first request is the slowest, so completion order differs
+        # from request order on every run
+        cmd = child_script(tmp_path, SLOW_FIRST_CHILD)
+        pts = np.linspace(0.05, 0.95, 10)[:, None]
+        with make_external(cmd, timeout=10.0, max_concurrency=3, p=1) as m:
+            digests = set()
+            for _ in range(3):
+                ledger = EvaluationLedger()
+                got = eval_batch(m, pts, ledger)
+                np.testing.assert_allclose(got, -pts[:, 0] ** 2)
+                assert ledger.count == 10
+                np.testing.assert_array_equal(ledger.points(), pts)
+                digests.add(ledger_digest(ledger))
+            assert len(digests) == 1
+
+    def test_batch_failure_keeps_completed_records_in_order(self, tmp_path):
+        body = """
+            import json, math, sys
+            for line in sys.stdin:
+                req = json.loads(line)
+                x = req["x"][0]
+                val = math.nan if x > 0.9 else -x * x
+                print(json.dumps({"id": req["id"], "logf": val}), flush=True)
+        """
+        cmd = child_script(tmp_path, body)
         pts = np.linspace(0.05, 0.95, 10)[:, None]
         with make_external(cmd, timeout=10.0, max_concurrency=3, p=1) as m:
             ledger = EvaluationLedger()
-            got = eval_batch(m, pts, ledger)
-            np.testing.assert_allclose(got, -pts[:, 0] ** 2)
-            assert ledger.count == 10
+            with pytest.raises(DensityProtocolError):
+                eval_batch(m, pts, ledger)
+            # the worker that hit the last point had finished its earlier
+            # ones; the other workers finished theirs
+            np.testing.assert_array_equal(ledger.points(), pts[:9])
 
 
 class TestEvalBatchBuiltin:

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from medsampler import diagnostics
 from medsampler.diagnostics import (
     _pairwise_log_terms,
     cl2_discrepancy,
@@ -114,6 +116,21 @@ def mc_cl2_squared(points, n_samples, rng):
     return total.mean(), total.std(ddof=1) / math.sqrt(n_samples)
 
 
+def cl2_reference(points):
+    """CL2 closed form over the whole n x n x p cross tensor."""
+    n, p = points.shape
+    c = np.abs(points - 0.5)
+    term2 = np.prod(1.0 + 0.5 * c - 0.5 * c**2, axis=1).sum() * (2.0 / n)
+    cross = (
+        1.0
+        + 0.5 * c[:, None, :]
+        + 0.5 * c[None, :, :]
+        - 0.5 * np.abs(points[:, None, :] - points[None, :, :])
+    )
+    term3 = np.prod(cross, axis=2).sum() / (n * n)
+    return math.sqrt(max((13.0 / 12.0) ** p - term2 + term3, 0.0))
+
+
 class TestCL2:
     def test_single_centered_point_hand_value(self):
         # closed form at n=1, p=1, x=1/2: 13/12 - 2 + 1 = 1/12
@@ -153,6 +170,18 @@ class TestCL2:
         for n in (1, 5, 40):
             assert cl2_discrepancy(rng.random((n, 4))) >= 0.0
 
+    # rows per cross-term block, forced small through the element budget
+    @pytest.mark.parametrize("n", [1, 4, 12, 13])
+    def test_row_blocks_match_the_whole_tensor(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        for p in (1, 3, 10):
+            pts = rng.random((n, p))
+            want = cl2_reference(pts)
+            assert cl2_discrepancy(pts) == want
+            monkeypatch.setattr(diagnostics, "CL2_BLOCK_ELEMENTS", 4 * n * p)
+            assert cl2_discrepancy(pts) == want, f"p={p}"
+            monkeypatch.undo()
+
 
 class TestNormalTransform:
     def test_known_parameters(self):
@@ -172,7 +201,40 @@ class TestNormalTransform:
 # ---------------------------------------------------------------- balance
 
 
+def balance_reference(points, logf):
+    """Probability balance with distances from the n x n x p difference tensor."""
+    n, p = points.shape
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    log_volume_const = (p / 2.0) * math.log(math.pi) - gammaln(p / 2.0 + 1.0)
+    with np.errstate(divide="ignore"):
+        log_p = 0.5 * (logf[:, None] + logf[None, :]) + log_volume_const + p * np.log(dist / 2.0)
+    np.fill_diagonal(log_p, np.inf)
+    balance = log_p.min(axis=1)
+    return balance, float(balance.max() - balance.min())
+
+
 class TestProbabilityBalance:
+    @pytest.mark.parametrize("p", [1, 3, 8, 10, 17])
+    def test_matches_the_tensor_formula(self, p):
+        rng = np.random.default_rng(p)
+        for n in (2, 13, 40):
+            pts = rng.random((n, p))
+            logf = rng.normal(size=n)
+            balance, spread = probability_balance(design_of(pts, logf))
+            want_balance, want_spread = balance_reference(pts, logf)
+            assert np.array_equal(balance, want_balance), f"n={n}"
+            assert spread == want_spread
+
+    def test_coincident_points_match_the_tensor_formula(self):
+        pts = np.array([[0.1, 0.2], [0.1, 0.2], [0.7, 0.4]])
+        logf = np.zeros(3)
+        balance, spread = probability_balance(design_of(pts, logf))
+        want_balance, want_spread = balance_reference(pts, logf)
+        assert np.isneginf(balance[0])
+        assert np.array_equal(balance, want_balance)
+        assert spread == want_spread
+
     def test_two_points_disk_area(self):
         # p=2, equal logf 0, Euclidean distance 2: volume term pi*(d/2)^2 = pi
         d = design_of([[0.0, 0.0], [2.0, 0.0]])

@@ -7,15 +7,37 @@ from hypothesis import strategies as st
 
 from medsampler.errors import ConfigError
 from medsampler.geometry import (
+    S_ZERO_THRESHOLD,
     CriterionValue,
     charge_log,
+    dim_sum_block,
     dist_s,
     identity_spec,
+    log_dist_block,
     pair_term_log,
     pair_term_matrix,
     psi_log,
     spec_from_sigma,
 )
+
+
+def log_dist_reference(a, b, s):
+    """The (m, j, p) tensor formula ``log_dist_block`` must match bit for bit.
+
+    ``log_dist_block`` adds per-dimension slices in numpy's pairwise
+    summation order; if a numpy release changes that order, the equality
+    tests below fail.
+    """
+    diff = np.abs(a[:, None, :] - b[None, :, :])
+    with np.errstate(divide="ignore"):
+        if s < S_ZERO_THRESHOLD:
+            return np.log(diff).mean(axis=2)
+        return np.log((diff**s).mean(axis=2)) / s
+
+
+# below 8, between 8 and the 128-element block, and the recursive split
+KERNEL_DIMS = [*range(1, 18), 31, 64, 127, 128, 129, 200, 257]
+KERNEL_EXPONENTS = [0.0, 1e-9, 0.7, 2.0 - 4.5e-12, 2.0, 3.0]
 
 
 def exhaustive_min_pair(points, logf, gamma, spec):
@@ -78,6 +100,62 @@ class TestDistS:
         geo = dist_s(a, b, identity_spec(p, s=0.0))
         near = dist_s(a, b, identity_spec(p, s=1e-6))
         assert near == pytest.approx(geo, rel=1e-4)
+
+
+class TestLogDistBlock:
+    @pytest.mark.parametrize("s", KERNEL_EXPONENTS)
+    def test_bit_identical_to_tensor_formula(self, s):
+        for p in KERNEL_DIMS:
+            rng = np.random.default_rng(p)
+            a = rng.standard_normal((9, p))
+            b = rng.standard_normal((6, p))
+            a[0] = b[0]
+            a[1, p - 1] = b[2, p - 1]
+            got = log_dist_block(a, b, s)
+            assert np.array_equal(got, log_dist_reference(a, b, s)), f"p={p}"
+
+    @pytest.mark.parametrize("s", KERNEL_EXPONENTS)
+    def test_single_column_shape(self, s):
+        # greedy_select scores every candidate against one chosen point
+        for p in KERNEL_DIMS:
+            rng = np.random.default_rng(100 + p)
+            pts = rng.uniform(size=(11, p))
+            got = log_dist_block(pts, pts[4:5], s)
+            assert got.shape == (11, 1)
+            assert np.array_equal(got, log_dist_reference(pts, pts[4:5], s)), f"p={p}"
+
+    def test_coincident_rows_give_neg_inf(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(size=(3, 10))
+        for s in KERNEL_EXPONENTS:
+            got = log_dist_block(a, a, s)
+            assert np.all(np.isneginf(np.diag(got)))
+            assert np.all(np.isfinite(got[~np.eye(3, dtype=bool)]))
+
+    def test_shared_coordinate_at_s_zero_gives_neg_inf(self):
+        a = np.array([[0.1, 0.2, 0.3]])
+        b = np.array([[0.5, 0.2, 0.9], [0.5, 0.6, 0.9]])
+        got = log_dist_block(a, b, 0.0)
+        assert np.isneginf(got[0, 0])
+        assert np.isfinite(got[0, 1])
+        assert np.array_equal(got, log_dist_reference(a, b, 0.0))
+
+    def test_result_does_not_depend_on_memory_layout(self):
+        # the tensor formula sums in pairwise order only over a C-ordered
+        # tensor; the kernel uses that order for every input layout
+        rng = np.random.default_rng(6)
+        a = rng.uniform(size=(7, 12))
+        b = rng.uniform(size=(5, 12))
+        for s in KERNEL_EXPONENTS:
+            got = log_dist_block(np.asfortranarray(a), np.asfortranarray(b), s)
+            assert np.array_equal(got, log_dist_reference(a, b, s))
+
+    def test_dim_sum_is_the_unscaled_sum(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(size=(4, 9)), rng.uniform(size=(3, 9))
+        diff = np.abs(a[:, None, :] - b[None, :, :])
+        assert np.array_equal(dim_sum_block(a, b, 2.0), (diff**2.0).sum(axis=2))
+        assert np.array_equal(dim_sum_block(a, b, 0.0), np.log(diff).sum(axis=2))
 
 
 class TestWhitening:
