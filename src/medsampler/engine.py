@@ -25,7 +25,6 @@ import numpy as np
 from .density import DensityModel, EvaluationLedger, eval_batch, eval_logf
 from .errors import CandidatePoolError, ConfigError, MedError
 from .geometry import (
-    S_ZERO_THRESHOLD,
     DistanceSpec,
     identity_spec,
     log_dist_block,
@@ -157,9 +156,7 @@ class StageState:
     seed: int
     stage_next: int
     m: int
-    sigma: np.ndarray
     s: float
-    spec_plain: DistanceSpec
     spec_white: DistanceSpec
     pts: np.ndarray
     logf: np.ndarray
@@ -241,49 +238,6 @@ def _resolve_s(logf: np.ndarray, gamma_k: float, config: RunConfig) -> float:
     return adaptive_s(f_lo, f_hi, gamma_k)
 
 
-def _power_mean_rows(a: np.ndarray, s: float) -> np.ndarray:
-    """Power mean of each row; exact geometric mean below the s threshold."""
-    if s < S_ZERO_THRESHOLD:
-        out = np.zeros(len(a))
-        pos = np.all(a > 0.0, axis=1)
-        if pos.any():
-            out[pos] = np.exp(np.log(a[pos]).mean(axis=1))
-        return out
-    return np.mean(a**s, axis=1) ** (1.0 / s)
-
-
-def _prefilter_conditioning(
-    cond: np.ndarray,
-    cond_part: np.ndarray,
-    box_lo: np.ndarray,
-    box_hi: np.ndarray,
-    center: np.ndarray,
-    anchor_part: float,
-    cand_part_min: float,
-    cand_part_max: float,
-    s: float,
-    two_p: float,
-) -> np.ndarray:
-    """Indices of conditioning points that could attain the pairwise minimum.
-
-    For candidates confined to [box_lo, box_hi], a conditioning point whose
-    best-case term (candidate part at its minimum, distance at the point's
-    gap to the box) still exceeds the worst-case term of the anchor (the
-    region center, which is always in the conditioning set) can never be the
-    argmin, so dropping it leaves every candidate's score unchanged.
-    """
-    gaps = np.maximum(np.maximum(box_lo[None, :] - cond, cond - box_hi[None, :]), 0.0)
-    d_low = _power_mean_rows(gaps, s)
-    reach = np.maximum(center - box_lo, box_hi - center)
-    d_anchor = float(_power_mean_rows(reach[None, :], s)[0])
-    if d_anchor <= 0.0:
-        return np.arange(len(cond))
-    upper = cand_part_max + anchor_part + two_p * np.log(d_anchor)
-    with np.errstate(divide="ignore"):
-        lower = cand_part_min + cond_part + two_p * np.log(d_low)
-    return np.nonzero(~(lower > upper))[0]
-
-
 def _argmax_min_term(
     cand: np.ndarray,
     cand_part: np.ndarray,
@@ -295,15 +249,26 @@ def _argmax_min_term(
     """Exact argmax over candidates of the min pairwise term, with pruning.
 
     ``cand_part``/``cond_part`` are the per-point additive pieces (gamma times
-    the log density or its surrogate).  Conditioning points are scanned
-    nearest-to-center first; after the first chunk the current front-runner
-    is completed to a true score, which safely prunes candidates whose upper
-    bound already falls short.  First-occurrence tie-breaking is preserved
-    because pruned candidates are strictly worse.
+    the log density or its surrogate).  A candidate's min term is usually
+    attained at a low-density conditioning point, so the conditioning set is
+    scanned in increasing order of a cheap proxy of its pairwise term,
+    ``cond_part + p * log |cond - center|^2``: up to a constant, the s = 2
+    term with the center standing in for every candidate and its part left
+    out.  At gamma = 0 the parts are zero and this is distance order.
+    Chunks grow 8, 16, 32, 64, then 128 at a time.  After the first chunk the
+    current front-runner is completed to a true score, which safely prunes
+    candidates whose upper bound already falls short.
+
+    The proxy only orders the scan: every score comes from ``log_dist_block``
+    and the min is order-free, so the result does not depend on the order.
+    First-occurrence tie-breaking is preserved because pruned candidates are
+    strictly worse.
     """
     m, p = cand.shape
     two_p = 2.0 * p
-    order = np.argsort(((cond - center[None, :]) ** 2).sum(axis=1), kind="stable")
+    with np.errstate(divide="ignore"):
+        proxy = cond_part + p * np.log(((cond - center[None, :]) ** 2).sum(axis=1))
+    order = np.argsort(proxy, kind="stable")
     cond = cond[order]
     cond_part = cond_part[order]
     total = len(cond)
@@ -312,9 +277,10 @@ def _argmax_min_term(
     alive = np.ones(m, dtype=bool)
     level = -np.inf
     pos = 0
+    size = 8
     while pos < total:
-        size = 32 if pos == 0 else 128
         stop = min(pos + size, total)
+        size = min(2 * size, 128)
         idx = np.nonzero(alive)[0]
         # (cand_part + cond_part) + two_p * logd, built in place in that
         # association so the scores stay bit-identical
@@ -360,10 +326,11 @@ def propose_new_points(
     cfg = state.config
     n = len(design)
     p = design.points.shape[1]
-    cond_pts = list(design.points)
-    cond_logf = list(design.logf)
-    new_pts: list[np.ndarray] = []
-    new_logf: list[float] = []
+    # conditioning set: the design, then this stage's winners as they come
+    cond = np.empty((2 * n, p))
+    cond_logf = np.empty(2 * n)
+    cond[:n] = design.points
+    cond_logf[:n] = design.logf
 
     for j in range(n):
         center = design.points[j]
@@ -398,34 +365,23 @@ def propose_new_points(
         )
         yhat = np.atleast_1d(predict(surrogate, pool.points))
 
-        cond_arr = np.array(cond_pts)
-        cond_part = gamma_next * np.array(cond_logf)
-        cand_part = gamma_next * yhat
-        keep = _prefilter_conditioning(
-            cond_arr,
-            cond_part,
-            pool.points.min(axis=0),
-            pool.points.max(axis=0),
-            center,
-            anchor_part=gamma_next * float(design.logf[j]),
-            cand_part_min=float(cand_part.min()),
-            cand_part_max=float(cand_part.max()),
-            s=state.s,
-            two_p=2.0 * p,
-        )
+        size = n + j
         best, _ = _argmax_min_term(
-            pool.points, cand_part, cond_arr[keep], cond_part[keep], state.s, center
+            pool.points,
+            gamma_next * yhat,
+            cond[:size],
+            gamma_next * cond_logf[:size],
+            state.s,
+            center,
         )
 
         x_new = pool.points[best]
         val = eval_logf(state.model, x_new, state.ledger)
         state.add_evaluated(x_new, val)
-        cond_pts.append(x_new)
-        cond_logf.append(val)
-        new_pts.append(x_new)
-        new_logf.append(val)
+        cond[size] = x_new
+        cond_logf[size] = val
 
-    return np.array(new_pts), np.array(new_logf)
+    return cond[n:], cond_logf[n:]
 
 
 def greedy_select(
@@ -578,9 +534,7 @@ def run(
             seed=config.seed,
             stage_next=k_next,
             m=m,
-            sigma=sigma,
             s=s,
-            spec_plain=spec_plain,
             spec_white=spec_white,
             pts=buf_pts,
             logf=buf_logf,

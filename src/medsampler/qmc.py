@@ -174,7 +174,7 @@ def _halton_cached(start: int, count: int, p: int) -> np.ndarray:
 class CandidatePool:
     """Deduplicated unit-cube candidates with a provenance tag per point.
 
-    Tags are "lattice", "local-fill", or "linear-combination".
+    Tags are "local-fill" or "linear-combination".
     """
 
     points: np.ndarray
@@ -282,22 +282,24 @@ def local_candidates(
     ]
 
     shift = rng.random(p)
-    fills: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
+    filled = 0
     start = 0
     max_draws = 200 * m
-    while len(fills) < m and start < max_draws:
+    while filled < m and start < max_draws:
         count = min(m + 64, max_draws - start)
         block = np.mod(_halton_cached(start, count, p) + shift[None, :], 1.0)
         start += count
         pts = lo[None, :] + block * span[None, :]
         pts = pts[~_too_close(pts, near, delta)]
-        fills.extend(pts)
-    if len(fills) < m:
+        blocks.append(pts)
+        filled += len(pts)
+    if filled < m:
         raise CandidatePoolError(
             f"could not place {m} candidates at separation {delta} "
             f"inside box of span {span.min():.3g}..{span.max():.3g}"
         )
-    fill_pts = np.array(fills[:m])
+    fill_pts = np.concatenate(blocks)[:m]
 
     combo_pts = np.zeros((0, p))
     not_center = region[np.max(np.abs(region - center[None, :]), axis=1) > 0.0]
@@ -309,9 +311,11 @@ def local_candidates(
         combo_pts = raw[~_too_close(raw, near_wide, delta)]
 
     points = np.vstack([fill_pts, combo_pts])
-    tags = ["local-fill"] * len(fill_pts) + ["linear-combination"] * len(combo_pts)
     keep = _dedup_keep_first(points)
+    # keep is ascending, so the kept fills come first
+    fills_kept = int(np.searchsorted(keep, m))
     return CandidatePool(
         points=points[keep],
-        provenance=tuple(tags[i] for i in keep),
+        provenance=("local-fill",) * fills_kept
+        + ("linear-combination",) * (len(keep) - fills_kept),
     )

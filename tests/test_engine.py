@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from medsampler.density import EvaluationLedger, make_banana, make_uniform
+from medsampler.density import EvaluationLedger, make_ar1_normal, make_banana, make_uniform
 from medsampler.engine import (
     AnnealSchedule,
     Design,
     RunConfig,
     StageState,
     _argmax_min_term,
-    _prefilter_conditioning,
     adaptive_s,
     default_K,
     default_n,
@@ -23,7 +22,7 @@ from medsampler.engine import (
     update_sigma,
 )
 from medsampler.errors import CandidatePoolError, ConfigError, DensityProtocolError
-from medsampler.geometry import identity_spec, psi_log
+from medsampler.geometry import LOGF_FLOOR, identity_spec, log_dist_block, psi_log
 from medsampler.qmc import CandidatePool
 
 
@@ -223,6 +222,65 @@ def brute_force_best(cand, cand_part, cond, cond_part, s):
     return best_i, best_v
 
 
+def center_ordered_argmax(cand, cand_part, cond, cond_part, s, center):
+    """The pass-1 scan as it was before the proxy order: conditioning points
+    nearest-to-center first, in chunks of 32 then 128.  Same pruning, same
+    kernel, so its ``(best, score)`` is the bit-exact reference."""
+    m, p = cand.shape
+    two_p = 2.0 * p
+    order = np.argsort(((cond - center[None, :]) ** 2).sum(axis=1), kind="stable")
+    cond = cond[order]
+    cond_part = cond_part[order]
+    total = len(cond)
+    ub = np.full(m, np.inf)
+    alive = np.ones(m, dtype=bool)
+    level = -np.inf
+    pos = 0
+    while pos < total:
+        stop = min(pos + (32 if pos == 0 else 128), total)
+        idx = np.nonzero(alive)[0]
+        terms = np.add(cand_part[idx][:, None], cond_part[None, pos:stop])
+        logd = log_dist_block(cand[idx], cond[pos:stop], s)
+        logd *= two_p
+        terms += logd
+        ub[idx] = np.minimum(ub[idx], terms.min(axis=1))
+        pos = stop
+        if level == -np.inf and pos < total:
+            star = idx[int(np.argmax(ub[idx]))]
+            tail = (
+                cand_part[star]
+                + cond_part[pos:]
+                + two_p * log_dist_block(cand[star : star + 1], cond[pos:], s)[0]
+            )
+            ub[star] = min(ub[star], float(tail.min()))
+            level = ub[star]
+        if level > -np.inf:
+            alive &= ub >= level
+    scores = np.where(alive, ub, -np.inf)
+    best = int(np.argmax(scores))
+    return best, float(scores[best])
+
+
+def pass1_inputs(rng, p, m, n_cond, gamma):
+    """Pass-1-shaped scoring inputs: the center is a conditioning point, the
+    candidates fill a box around it, and the parts are gamma times a peaked
+    log density (the candidates' with surrogate-like noise)."""
+    cond = rng.random((n_cond, p))
+    center = cond[rng.integers(n_cond)]
+    lo = np.clip(center - 0.15, 0.0, 1.0)
+    hi = np.clip(center + 0.15, 0.0, 1.0)
+    cand = lo + rng.random((m, p)) * (hi - lo)
+
+    def logf(x):
+        return -((x - 0.5) ** 2).sum(axis=1) / (2 * 0.125**2)
+
+    cand_part = gamma * (logf(cand) + 0.1 * rng.normal(size=m))
+    return cand, cand_part, cond, gamma * logf(cond), center
+
+
+SCAN_EXPONENTS = [0.0, 0.7, 2.0 - 4.5e-12, 2.0, 3.0]
+
+
 class TestArgmaxMinTerm:
     @pytest.mark.parametrize("s", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("trial", range(4))
@@ -256,30 +314,96 @@ class TestArgmaxMinTerm:
         exp = brute_force_best(cand, cand_part, cond, cond_part, 2.0)
         assert got[0] == exp[0] and got[1] == pytest.approx(exp[1], rel=1e-12)
 
-    @pytest.mark.parametrize("s", [0.0, 2.0])
-    def test_prefilter_never_changes_the_score(self, s):
-        rng = np.random.default_rng(21)
-        cand = 0.4 + 0.2 * rng.random((30, 3))  # confined to a small box
-        cond = rng.random((60, 3))
-        cond[0] = cand.mean(axis=0)  # anchor inside the box
-        cand_part = 0.3 * rng.normal(size=30)
-        cond_part = rng.normal(size=60)
-        keep = _prefilter_conditioning(
-            cond,
-            cond_part,
-            cand.min(axis=0),
-            cand.max(axis=0),
-            cond[0],
-            anchor_part=float(cond_part[0]),
-            cand_part_min=float(cand_part.min()),
-            cand_part_max=float(cand_part.max()),
-            s=s,
-            two_p=6.0,
+
+class TestScanOrder:
+    """The proxy scan order must give the center-ordered scan's result bit
+    for bit: it only changes which pairs are scored, never a score."""
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 30])
+    def test_matches_center_ordered_scan(self, p, s):
+        rng = np.random.default_rng(1000 * p + int(100 * s))
+        for m, n_cond in [(min(50 * p, 400), 150), (60, 300), (37, 9)]:
+            args = pass1_inputs(rng, p, m, n_cond, gamma=rng.uniform(0.1, 1.0))
+            assert _argmax_min_term(*args[:4], s, args[4]) == center_ordered_argmax(
+                *args[:4], s, args[4]
+            )
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_zero_gamma_parts(self, s):
+        rng = np.random.default_rng(5)
+        cand, _, cond, _, center = pass1_inputs(rng, 3, 150, 200, gamma=0.0)
+        zeros_m, zeros_c = np.zeros(len(cand)), np.zeros(len(cond))
+        got = _argmax_min_term(cand, zeros_m, cond, zeros_c, s, center)
+        assert got == center_ordered_argmax(cand, zeros_m, cond, zeros_c, s, center)
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_parts_at_the_floor(self, s):
+        rng = np.random.default_rng(6)
+        gamma = 0.4
+        cand, cand_part, cond, cond_part, center = pass1_inputs(rng, 4, 200, 180, gamma)
+        cond_part[rng.random(len(cond)) < 0.3] = gamma * LOGF_FLOOR
+        cand_part[rng.random(len(cand)) < 0.3] = gamma * LOGF_FLOOR
+        got = _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
+
+    def test_shared_coordinate_at_zero_exponent(self):
+        rng = np.random.default_rng(7)
+        cand, cand_part, cond, cond_part, center = pass1_inputs(rng, 3, 120, 160, 0.5)
+        # half the candidates share a coordinate with some conditioning point,
+        # so their product-metric terms are -inf
+        hits = rng.integers(len(cond), size=60)
+        cand[:60, 1] = cond[hits, 1]
+        got = _argmax_min_term(cand, cand_part, cond, cond_part, 0.0, center)
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, 0.0, center)
+        assert got[0] >= 60 and np.isfinite(got[1])
+        everyone = np.zeros(len(cand))
+        cand[:, 1] = cond[0, 1]
+        got = _argmax_min_term(cand, everyone, cond, cond_part, 0.0, center)
+        assert got == (0, -np.inf)
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    @pytest.mark.parametrize("n_cond", [1, 3, 7])
+    def test_fewer_conditioning_points_than_a_chunk(self, n_cond, s):
+        rng = np.random.default_rng(n_cond)
+        args = pass1_inputs(rng, 3, 90, n_cond, gamma=0.7)
+        assert _argmax_min_term(*args[:4], s, args[4]) == center_ordered_argmax(
+            *args[:4], s, args[4]
         )
-        full = _argmax_min_term(cand, cand_part, cond, cond_part, s, cond[0])
-        filt = _argmax_min_term(cand, cand_part, cond[keep], cond_part[keep], s, cond[0])
-        assert full == filt
-        assert len(keep) < 60  # the filter actually removed something
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_single_candidate(self, s):
+        rng = np.random.default_rng(8)
+        args = pass1_inputs(rng, 5, 1, 140, gamma=0.9)
+        got = _argmax_min_term(*args[:4], s, args[4])
+        assert got[0] == 0
+        assert got == center_ordered_argmax(*args[:4], s, args[4])
+
+    def test_pass1_scores_few_of_the_pairs(self, monkeypatch):
+        """The proxy order exists to prune early: on the ar1 p=10 reference
+        the center-ordered scan scored 73 % of the candidate x conditioning
+        pairs in pass 1, the proxy order about 4 %."""
+        counts = {"scored": 0, "possible": 0}
+        in_pass1 = []
+
+        def counting_kernel(a, b, s):
+            if in_pass1:
+                counts["scored"] += len(a) * len(b)
+            return log_dist_block(a, b, s)
+
+        def counting_scan(cand, cand_part, cond, cond_part, s, center):
+            counts["possible"] += len(cand) * len(cond)
+            in_pass1.append(True)
+            try:
+                return _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+            finally:
+                in_pass1.pop()
+
+        monkeypatch.setattr("medsampler.engine.log_dist_block", counting_kernel)
+        monkeypatch.setattr("medsampler.engine._argmax_min_term", counting_scan)
+        run(make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0, K=3))
+        assert counts["possible"] > 0
+        assert counts["scored"] / counts["possible"] <= 0.2
 
 
 # ---------------------------------------------------------------- pass 1
@@ -305,9 +429,7 @@ def make_state(model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None)
         seed=cfg.seed,
         stage_next=stage_next,
         m=m,
-        sigma=np.eye(p),
         s=s,
-        spec_plain=spec,
         spec_white=spec,
         pts=buf_pts,
         logf=buf_logf,
