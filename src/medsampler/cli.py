@@ -142,35 +142,36 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _merge_config(args) -> None:
-    """Fill in args fields from the optional JSON config; flags win."""
+    """Fill in unset flags from the optional JSON config; flags win.
+
+    Each non-null value is read as if it were the flag's text: ``str(value)``
+    goes through the flag's type and then its choices.
+    """
     file_cfg = _load_config_file(getattr(args, "config", None))
+    flags = {a.dest: a for a in args.parser._actions if hasattr(args, a.dest)}
     for key, value in file_cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
             raise ConfigError(f"config file key {key!r} does not match any flag")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if value is None or getattr(args, flag.dest) is not None:
+            continue
+        try:
+            parsed = str(value) if flag.type is None else flag.type(str(value))
+        except ValueError as exc:
+            raise ConfigError(f"config file key {key!r}: {exc}") from exc
+        if flag.choices is not None and parsed not in flag.choices:
+            raise ConfigError(
+                f"config file key {key!r} must be one of {list(flag.choices)}, got {value!r}"
+            )
+        setattr(args, flag.dest, parsed)
 
 
 def _run_config(args) -> RunConfig:
-    cfg = RunConfig(seed=args.seed if args.seed is not None else 0)
-    if args.n is not None:
-        cfg.n = args.n
-    if args.K is not None:
-        cfg.K = args.K
-    if args.m is not None:
-        cfg.m = args.m
-    if args.theta is not None:
-        cfg.theta = args.theta
-    if args.s_mode is not None:
-        cfg.s_mode = args.s_mode
-    if args.s_value is not None:
-        cfg.s_value = args.s_value
-    if args.s_quantile is not None:
-        cfg.s_quantile = args.s_quantile
-    if args.whitening is not None:
-        cfg.whitening = args.whitening == "on"
-    return cfg
+    names = ("seed", "n", "K", "m", "theta", "s_mode", "s_value", "s_quantile", "whitening")
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if "whitening" in given:
+        given["whitening"] = given["whitening"] == "on"
+    return RunConfig(**given)
 
 
 def _report_dict(report: RunReport) -> dict:
@@ -479,6 +480,7 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--s-quantile", type=float, dest="s_quantile")
     sub.add_argument("--whitening", choices=("on", "off"))
     sub.add_argument("--config", help="JSON file mirroring the flags; flags win")
+    sub.set_defaults(parser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,8 @@
 Every density is evaluated on the unit hypercube; a per-coordinate affine box
 maps unit-scale points to the original scale, and builtin models compute in
 original coordinates (the Jacobian constant is dropped along with the unknown
-normalizing constant).  All evaluations flow through ``eval_logf`` so the
+normalizing constant).  Every evaluation goes through ``_evaluate`` and is
+recorded by ``eval_batch`` (``eval_logf`` is its one-point form), so the
 ledger is a complete audit of the budget: no hidden evaluations anywhere.
 """
 
@@ -44,7 +45,7 @@ class EvaluationLedger:
 
     ``begin_stage`` stamps subsequent records with the stage index.  Appends
     are serialized under a lock so concurrent external evaluations stay safe;
-    sequence numbers reflect completion order.
+    sequence numbers follow request order, also for threaded batches.
     """
 
     records: list[LedgerRecord] = field(default_factory=list)
@@ -124,67 +125,66 @@ def _validate_box(box: np.ndarray, p: int) -> np.ndarray:
     return box
 
 
-def eval_logf(model: DensityModel, x: np.ndarray, ledger: EvaluationLedger) -> float:
-    """Evaluate log f at a unit-scale point, recording exactly one ledger entry.
+def _evaluate(model: DensityModel, worker: int, u: np.ndarray) -> tuple[float, float]:
+    """Evaluate log f at one clipped unit-scale point: (value, duration_ms).
 
-    Coordinates are clipped to [0,1].  Values below the floor (including -inf
-    for zero density) are clamped to the floor so criterion arithmetic stays
-    finite.  A NaN from any evaluator aborts the run.
+    Builtin models compute in original coordinates; external ones ask pool
+    worker ``worker``.  Values below the floor (including -inf for zero
+    density) are clamped to it so criterion arithmetic stays finite.  A NaN
+    from any evaluator aborts the run.
     """
-    u = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    if u.shape != (model.p,):
-        raise ConfigError(f"point has shape {u.shape}, model dimension is {model.p}")
     t0 = time.perf_counter()
     if model.kind == "builtin":
         val = float(model.logf_original(model.to_original(u)))
     else:
-        val = model.pool.eval_one(u, model.to_original(u) if not model.has_identity_box else None)
+        x_orig = None if model.has_identity_box else model.to_original(u)
+        val = model.pool.eval_on(worker, u, x_orig)
     duration_ms = (time.perf_counter() - t0) * 1e3
     if math.isnan(val):
         raise DensityProtocolError(f"density returned NaN at point {u.tolist()}")
-    val = max(val, LOGF_FLOOR)
-    ledger.append(u, val, duration_ms)
-    return val
+    return max(val, LOGF_FLOOR), duration_ms
+
+
+def eval_logf(model: DensityModel, x: np.ndarray, ledger: EvaluationLedger) -> float:
+    """Evaluate log f at a unit-scale point, recording exactly one ledger entry."""
+    u = np.asarray(x, dtype=float)
+    if u.shape != (model.p,):
+        raise ConfigError(f"point has shape {u.shape}, model dimension is {model.p}")
+    return float(eval_batch(model, u[None, :], ledger)[0])
 
 
 def eval_batch(
     model: DensityModel, points: np.ndarray, ledger: EvaluationLedger
 ) -> np.ndarray:
-    """Evaluate many unit-scale points; results come back in request order.
+    """Evaluate many unit-scale points, clipped to [0,1]; results in request order.
 
-    Builtin models loop; external models fan the requests out over the worker
-    pool.  Ledger records land in request order either way: the threaded path
-    keeps each ``(value, duration_ms)`` and appends them after the workers
-    have joined.  If a worker fails, every completed record is still appended
-    (in request order) before the first error is raised.
+    With one worker (every builtin model) each record is appended as its
+    evaluation completes, so an aborted batch keeps its prefix.  Several
+    external workers share the requests; their records are appended in
+    request order after the workers have joined, and if a worker failed,
+    every completed record is still appended before the first error is raised.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if model.kind == "builtin" or model.pool is None or len(model.pool.workers) == 1:
-        return np.array([eval_logf(model, u, ledger) for u in points])
-    units = np.clip(points, 0.0, 1.0)
-    origs = None if model.has_identity_box else model.to_original(units)
+    units = np.clip(np.atleast_2d(np.asarray(points, dtype=float)), 0.0, 1.0)
+    if units.ndim != 2 or units.shape[1] != model.p:
+        raise ConfigError(f"points have shape {units.shape}, model dimension is {model.p}")
+    workers = 1 if model.pool is None else len(model.pool.workers)
     done: list[tuple[float, float] | None] = [None] * len(units)
+    if workers == 1:
+        for i, u in enumerate(units):
+            done[i] = _evaluate(model, 0, u)
+            ledger.append(u, *done[i])
+        return np.array([val for val, _ in done])
+
     errors: list[Exception] = []
 
-    def run_chunk(worker_idx: int) -> None:
+    def run_chunk(worker: int) -> None:
         try:
-            for i in range(worker_idx, len(units), len(model.pool.workers)):
-                t0 = time.perf_counter()
-                val = model.pool.eval_on(
-                    worker_idx, units[i], None if origs is None else origs[i]
-                )
-                if math.isnan(val):
-                    raise DensityProtocolError(
-                        f"density returned NaN at point {units[i].tolist()}"
-                    )
-                done[i] = (max(val, LOGF_FLOOR), (time.perf_counter() - t0) * 1e3)
+            for i in range(worker, len(units), workers):
+                done[i] = _evaluate(model, worker, units[i])
         except Exception as exc:  # surfaced after join
             errors.append(exc)
 
-    threads = [
-        threading.Thread(target=run_chunk, args=(w,))
-        for w in range(len(model.pool.workers))
-    ]
+    threads = [threading.Thread(target=run_chunk, args=(w,)) for w in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
@@ -364,9 +364,6 @@ class _ExternalPool:
     def __init__(self, command: str | Sequence[str], p: int, timeout: float, size: int):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.workers = [_Worker(argv, p, timeout) for _ in range(size)]
-
-    def eval_one(self, u: np.ndarray, x_orig: np.ndarray | None) -> float:
-        return self.eval_on(0, u, x_orig)
 
     def eval_on(self, idx: int, u: np.ndarray, x_orig: np.ndarray | None) -> float:
         worker = self.workers[idx]

@@ -17,7 +17,7 @@ report's notes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil, sqrt
 
 import numpy as np
@@ -437,14 +437,30 @@ def _initial_lattice(n: int, p: int, seed: int) -> LatticeRule:
     return LatticeRule(n=n, z=_cbc_vector(n, p), shift=shift)
 
 
-def _stage_psis(
-    design: Design, gamma: float, spec_plain: DistanceSpec, spec_white: DistanceSpec
-) -> tuple[float, float]:
-    if len(design) < 2:
-        return float("nan"), float("nan")
-    plain = psi_log(design.points, design.logf, gamma, spec_plain).value
-    tilde = psi_log(design.points, design.logf, gamma, spec_white).value
-    return plain, tilde
+def _stage_metric(
+    design: Design, gamma_k: float, gamma_next: float, config: RunConfig
+) -> tuple[float, np.ndarray, DistanceSpec, DistanceSpec]:
+    """Metric of the stage that starts from ``design``: (s, sigma, plain, white)."""
+    p = design.points.shape[1]
+    s = _resolve_s(design.logf, gamma_k, config)
+    sigma = update_sigma(design.points, gamma_k, gamma_next, config.whitening)
+    spec_plain = identity_spec(p, s)
+    spec_white = spec_from_sigma(sigma, s=s) if config.whitening else spec_plain
+    return s, sigma, spec_plain, spec_white
+
+
+def _stage_report(design: Design, metric: tuple, t0: float) -> StageReport:
+    """Stage summary of ``design`` under ``metric``; seconds counted from ``t0``."""
+    s, sigma, spec_plain, spec_white = metric
+    return StageReport(
+        stage=design.stage,
+        gamma=design.gamma,
+        s=s,
+        sigma_cond=float(np.linalg.cond(sigma)),
+        psi_log=psi_log(design.points, design.logf, design.gamma, spec_plain).value,
+        psi_tilde_log=psi_log(design.points, design.logf, design.gamma, spec_white).value,
+        seconds=time.perf_counter() - t0,
+    )
 
 
 def _theta_sensitivity_metric(design: Design, config: RunConfig) -> float | None:
@@ -500,31 +516,17 @@ def run(
     buf_pts[:count] = pts1
     buf_logf[:count] = logf1
 
-    s1 = _resolve_s(design.logf, 0.0, config)
-    sigma1 = update_sigma(design.points, 0.0, schedule.gammas[1], config.whitening)
-    spec1_plain = identity_spec(p, s1)
-    spec1_white = spec_from_sigma(sigma1, s=s1) if config.whitening else spec1_plain
-    psi1, psi1_t = _stage_psis(design, 0.0, spec1_plain, spec1_white)
-    stages = [
-        StageReport(
-            stage=1,
-            gamma=0.0,
-            s=s1,
-            sigma_cond=float(np.linalg.cond(sigma1)),
-            psi_log=psi1,
-            psi_tilde_log=psi1_t,
-            seconds=time.perf_counter() - t0,
-        )
-    ]
+    # stage 1 is reported under the metric that stage 2 runs on
+    metric = _stage_metric(design, 0.0, float(schedule.gammas[1]), config)
+    stages = [_stage_report(design, metric, t0)]
 
     for k_next in range(2, K + 1):
         t0 = time.perf_counter()
         gamma_k = float(schedule.gammas[k_next - 2])
         gamma_next = float(schedule.gammas[k_next - 1])
-        s = _resolve_s(design.logf, gamma_k, config)
-        sigma = update_sigma(design.points, gamma_k, gamma_next, config.whitening)
-        spec_plain = identity_spec(p, s)
-        spec_white = spec_from_sigma(sigma, s=s) if config.whitening else spec_plain
+        if k_next > 2:
+            metric = _stage_metric(design, gamma_k, gamma_next, config)
+        s, _, _, spec_white = metric
 
         buf_white[:count] = spec_white.whiten(buf_pts[:count])
         state = StageState(
@@ -548,18 +550,7 @@ def run(
         design = greedy_select(
             buf_pts[:count], buf_logf[:count], n, gamma_next, spec_white, stage=k_next
         )
-        psi_plain, psi_tilde = _stage_psis(design, gamma_next, spec_plain, spec_white)
-        stages.append(
-            StageReport(
-                stage=k_next,
-                gamma=gamma_next,
-                s=s,
-                sigma_cond=float(np.linalg.cond(sigma)),
-                psi_log=psi_plain,
-                psi_tilde_log=psi_tilde,
-                seconds=time.perf_counter() - t0,
-            )
-        )
+        stages.append(_stage_report(design, metric, t0))
 
     used = ledger.count - start_count
     if used != budget:
@@ -572,20 +563,7 @@ def run(
         K=K,
         seed=config.seed,
         budget=used,
-        config={
-            "seed": config.seed,
-            "n": n,
-            "K": K,
-            "m": m,
-            "n_combos": config.n_combos,
-            "delta": config.delta,
-            "theta": config.theta,
-            "jitter": config.jitter,
-            "s_mode": config.s_mode,
-            "s_value": config.s_value,
-            "s_quantile": config.s_quantile,
-            "whitening": config.whitening,
-        },
+        config={**asdict(config), "n": n, "K": K, "m": m},
         gammas=[float(g) for g in schedule.gammas],
         stages=stages,
         theta_sensitivity=_theta_sensitivity_metric(design, config),

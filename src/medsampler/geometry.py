@@ -37,16 +37,14 @@ LOGF_FLOOR = -1e10
 class DistanceSpec:
     """Distance definition: exponent ``s`` plus an optional whitening matrix.
 
-    ``whitener`` is the inverse Cholesky factor of ``sigma`` (lower
-    triangular), so that whitened coordinates are ``W @ x`` and squared
-    whitened Euclidean distances equal the Mahalanobis quadratic form.
-    ``sigma`` is retained for reporting; ``W @ sigma @ W' = I`` holds by
-    construction.
+    ``whitener`` is the inverse Cholesky factor of the covariance ``sigma``
+    it was built from (lower triangular), so that whitened coordinates are
+    ``W @ x`` and squared whitened Euclidean distances equal the Mahalanobis
+    quadratic form: ``W @ sigma @ W' = I`` holds by construction.
     """
 
     s: float
     whitener: np.ndarray
-    sigma: np.ndarray
 
     @property
     def is_product_form(self) -> bool:
@@ -66,8 +64,7 @@ class DistanceSpec:
 
 def identity_spec(p: int, s: float = 2.0) -> DistanceSpec:
     """Unwhitened distance spec in dimension ``p``."""
-    eye = np.eye(p)
-    return DistanceSpec(s=float(s), whitener=eye, sigma=eye.copy())
+    return DistanceSpec(s=float(s), whitener=np.eye(p))
 
 
 def spec_from_sigma(sigma: np.ndarray, s: float = 2.0) -> DistanceSpec:
@@ -81,7 +78,7 @@ def spec_from_sigma(sigma: np.ndarray, s: float = 2.0) -> DistanceSpec:
     except np.linalg.LinAlgError as exc:
         raise ConfigError(f"sigma is not positive definite: {exc}") from exc
     whitener = solve_triangular(chol, np.eye(p), lower=True)
-    return DistanceSpec(s=float(s), whitener=whitener, sigma=sigma)
+    return DistanceSpec(s=float(s), whitener=whitener)
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,6 @@ DELTA_SEPARATION = 1e-6
 # Pool-internal dedup threshold (max-norm): closer pairs count as the same point.
 DEDUP_TOLERANCE = 1e-12
 
-_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-)
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -56,12 +50,9 @@ def largest_prime_below(limit: int) -> int:
 
 def nth_prime(k: int) -> int:
     """k-th prime, 1-indexed (1 -> 2, 2 -> 3, ...)."""
-    if k <= len(_PRIMES):
-        return _PRIMES[k - 1]
-    n = _PRIMES[-1]
-    count = len(_PRIMES)
+    n, count = 1, 0
     while count < k:
-        n += 2
+        n += 1
         if is_prime(n):
             count += 1
     return n

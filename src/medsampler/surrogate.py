@@ -37,7 +37,6 @@ class SurrogateModel:
     """Fitted limit-kriging interpolator with precomputed solves."""
 
     x_train: np.ndarray
-    y_train: np.ndarray
     theta: float
     jitter: float
     rinv_y: np.ndarray
@@ -109,7 +108,6 @@ def fit(
     gls_mean = float(rinv_y.sum() / rinv_one.sum())
     return SurrogateModel(
         x_train=x_train,
-        y_train=y_train,
         theta=float(theta),
         jitter=jitter,
         rinv_y=rinv_y,

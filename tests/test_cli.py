@@ -134,6 +134,22 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"density": "banana", "frobnicate": 1}))
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("entry", [{"whitening": True}, {"n": 12.5}])
+    def test_value_the_flag_would_reject_is_usage_error(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"density": "banana", "K": 3, **entry}))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert repr(next(iter(entry))) in capsys.readouterr().err
+
+    def test_value_is_read_as_flag_text(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"density": "banana", "n": 12, "K": "3", "whitening": "off"}))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["K"] == 3
+        assert report["config"]["whitening"] is False
+
 
 class TestDiagnose:
     def test_report_and_tidy_csvs(self, tmp_path):

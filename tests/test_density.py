@@ -346,6 +346,14 @@ class TestExternal:
             # ones; the other workers finished theirs
             np.testing.assert_array_equal(ledger.points(), pts[:9])
 
+    def test_threaded_batch_rejects_wrong_dimension(self, tmp_path):
+        cmd = child_script(tmp_path, ECHO_CHILD)
+        with make_external(cmd, timeout=10.0, max_concurrency=2, p=2) as m:
+            ledger = EvaluationLedger()
+            with pytest.raises(ConfigError):
+                eval_batch(m, np.full((3, 3), 0.5), ledger)
+            assert ledger.count == 0
+
 
 class TestEvalBatchBuiltin:
     def test_matches_scalar_path(self):
@@ -354,3 +362,12 @@ class TestEvalBatchBuiltin:
         a = eval_batch(m, pts, EvaluationLedger())
         b = np.array([eval_logf(m, x, EvaluationLedger()) for x in pts])
         np.testing.assert_array_equal(a, b)
+
+    def test_nan_keeps_the_completed_prefix(self):
+        m = builtin(1, lambda x: float("nan") if x[0] > 0.5 else -x[0])
+        ledger = EvaluationLedger()
+        pts = np.array([[0.1], [0.2], [0.9], [0.3]])
+        with pytest.raises(DensityProtocolError):
+            eval_batch(m, pts, ledger)
+        np.testing.assert_array_equal(ledger.points(), pts[:2])
+        np.testing.assert_array_equal(ledger.logf_values(), [-0.1, -0.2])

@@ -1,4 +1,4 @@
-"""Golden ledger digests of the reference runs.
+"""Golden ledger digests of the reference runs, and the banana report bytes.
 
 The banana and ar1 p=10 digests are those of the seed-0 reference runs
 recorded with the benchmark (``perfbench/digests.json``); the p=30 one is the
@@ -7,10 +7,16 @@ change that does so on purpose must say so and pin the new values.  All three
 runs are session fixtures that other tests build anyway.
 """
 
+import hashlib
+import json
+
+from medsampler.cli import _report_dict
 from medsampler.fileio import ledger_digest
 
 # make_banana(), RunConfig(seed=0)
 BANANA_DIGEST = "e3d31134b7b4a103292c77f4e1ab900a226058333f4bd910b5f014df31b2bd91"
+# sha256 of report.json of make_banana(), RunConfig(seed=0)
+BANANA_REPORT_SHA256 = "601f1fb376f073ab37e2cc2e7f9d0bb16edb6dea64b75b09512df92076d85bbc"
 # make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0)
 AR1_P10_DIGEST = "44c295ddcad2b3420e27700290fca8e82aaec2df77f6e0d821b5e1501d71ae5c"
 # make_ar1_normal(30, 0.9 ** log(30), 0.125), RunConfig(seed=0)
@@ -20,6 +26,16 @@ AR1_P30_DIGEST = "1b690699629e2154e3e71843da4a5daf2f8ae8aa0f5645f060389e565210c4
 def test_banana_default_digest(banana_default):
     _, report, _ = banana_default
     assert ledger_digest(report.ledger) == BANANA_DIGEST
+
+
+def test_banana_default_report_bytes(banana_default):
+    # report.json as ``write_json`` writes it: every stage metric, the config
+    # echo and theta_sensitivity, to the last bit.  These bytes were the same
+    # at one and two BLAS threads; the ar1 p=10 ones are not (README,
+    # Determinism), so that run is pinned by its ledger digest only.
+    _, report, _ = banana_default
+    text = json.dumps(_report_dict(report), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == BANANA_REPORT_SHA256
 
 
 def test_ar1_p10_digest(p10_correlated):
