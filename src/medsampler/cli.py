@@ -125,9 +125,7 @@ def _density_echo(args, model: DensityModel) -> dict:
     return echo
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config_file(path: str) -> dict:
     import json
 
     try:
@@ -141,19 +139,24 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _merge_config(args) -> None:
-    """Fill in unset flags from the optional JSON config; flags win.
+def _merge_config(args, sub_argv: list[str]) -> None:
+    """Fill every flag not given in ``sub_argv`` from the JSON config file.
 
-    Each non-null value is read as if it were the flag's text: ``str(value)``
-    goes through the flag's type and then its choices.
+    A flag on the command line wins, even when it repeats its default.  Each
+    non-null value is read as if it were the flag's text: ``str(value)`` goes
+    through the flag's type and then its choices.
     """
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _load_config_file(args.config)
     flags = {a.dest: a for a in args.parser._actions if hasattr(args, a.dest)}
+    # argparse sets no default on a name the namespace already holds, so only
+    # the flags on the command line replace the marker
+    unset = object()
+    given = args.parser.parse_args(sub_argv, argparse.Namespace(**dict.fromkeys(flags, unset)))
     for key, value in file_cfg.items():
         flag = flags.get(key.replace("-", "_"))
         if flag is None:
             raise ConfigError(f"config file key {key!r} does not match any flag")
-        if value is None or getattr(args, flag.dest) is not None:
+        if value is None or getattr(given, flag.dest) is not unset:
             continue
         try:
             parsed = str(value) if flag.type is None else flag.type(str(value))
@@ -207,7 +210,6 @@ def _utcnow() -> str:
 
 
 def cmd_generate(args) -> int:
-    _merge_config(args)
     out = Path(args.out)
     model = _build_density(args)
     config = _run_config(args)
@@ -438,7 +440,6 @@ def _bench_one(args, p_override: int | None, seeds: list[int]) -> dict:
 
 
 def cmd_bench(args) -> int:
-    _merge_config(args)
     if args.density == "external":
         raise ConfigError("bench needs a builtin density: budget fairness requires cheap truth")
     seeds = list(range(args.seeds))
@@ -523,8 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            # argv[0] is the subcommand: the top-level parser has no other flag
+            _merge_config(args, argv[1:])
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from scipy.special import gammaln, ndtr
 from .engine import Design
 from .errors import ConfigError
 from .geometry import (
+    BLOCK_ELEMENTS,
     DistanceSpec,
     charge_log,
     dim_sum_block,
@@ -23,9 +24,6 @@ from .geometry import (
     log_dist_block,
     psi_log,
 )
-
-# Elements of the (rows, n, p) cross-term block in cl2_discrepancy: 8 MB.
-CL2_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ def cl2_discrepancy(points: np.ndarray) -> float:
     # cross-term products a block of rows at a time; one .sum() over the
     # (n, n) matrix keeps the result bit-identical to the n x n x p form
     prods = np.empty((n, n))
-    rows = max(1, CL2_BLOCK_ELEMENTS // (n * p))
+    rows = max(1, BLOCK_ELEMENTS // (n * p))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         cross = (
@@ -236,23 +234,20 @@ def marginals_and_correlations(
     return marginals, corr, degenerate
 
 
-def diagnostics_report(
-    design: Design,
-    spec: DistanceSpec | None = None,
-    spec_whitened: DistanceSpec | None = None,
-    bins: int | None = None,
-    gamma: float = 1.0,
-) -> DiagnosticsReport:
-    """Assemble the full report for a design; pure, no density evaluations."""
+def diagnostics_report(design: Design, bins: int | None = None) -> DiagnosticsReport:
+    """Assemble the full report for a design; pure, no density evaluations.
+
+    psi is taken at gamma = 1 in the identity metric.  A design file carries
+    no metric, so ``psi_tilde_log`` repeats that value.
+    """
     points = np.atleast_2d(np.asarray(design.points, dtype=float))
-    p = points.shape[1]
-    spec = spec or identity_spec(p)
-    spec_whitened = spec_whitened or spec
+    spec = identity_spec(points.shape[1])
+    psi = psi_log(points, design.logf, 1.0, spec).value
     marginals, corr, degenerate = marginals_and_correlations(points, bins)
     balance, spread = probability_balance(design)
     return DiagnosticsReport(
-        psi_log=psi_log(points, design.logf, gamma, spec).value,
-        psi_tilde_log=psi_log(points, design.logf, gamma, spec_whitened).value,
+        psi_log=psi,
+        psi_tilde_log=psi,
         total_energy_log=total_energy_log(design, spec),
         max_energy_log=max_energy_log(design, spec),
         cl2=cl2_discrepancy(points) if np.all((points >= 0) & (points <= 1)) else float("nan"),

@@ -32,6 +32,10 @@ S_ZERO_THRESHOLD = 1e-8
 # Sentinel floor for log densities; values at or below this mean "zero density".
 LOGF_FLOOR = -1e10
 
+# Values in one (rows, j, p) block of a row-blocked kernel (8 MB of float64):
+# dim_sum_block here and the CL2 cross terms in diagnostics.
+BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class DistanceSpec:
@@ -112,60 +116,30 @@ def dim_sum_block(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     """Per-pair sums over dimensions of ``|a_l - b_l|**s`` for two blocks.
 
     ``a`` has shape (m, p) and ``b`` (j, p); the result is (m, j).  Below
-    ``S_ZERO_THRESHOLD`` the summand is ``log|a_l - b_l|`` instead.  No
-    (m, j, p) tensor is built: each dimension is computed into an (m, j)
-    buffer and added into accumulators in exactly the order numpy's pairwise
-    summation uses for ``.sum(axis=2)`` over that tensor (C-ordered), so the
-    result is bit-identical to the tensor formula.
+    ``S_ZERO_THRESHOLD`` the summand is ``log|a_l - b_l|`` instead.  This is
+    the tensor formula ``.sum(axis=2)`` over the C-ordered (m, j, p) tensor
+    ``|a[:, None] - b[None]|``, built a block of rows at a time so that a
+    block holds at most ``BLOCK_ELEMENTS`` values (or one row).  Each result
+    is numpy's own pairwise sum over p contiguous values, whatever the block.
     """
-    at = np.ascontiguousarray(np.asarray(a, dtype=float).T)
-    bt = np.ascontiguousarray(np.asarray(b, dtype=float).T)
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    m, p = a.shape
+    j = b.shape[0]
+    out = np.empty((m, j))
+    rows = max(1, BLOCK_ELEMENTS // max(1, j * p))
+    block = np.empty((min(rows, m), j, p))
     with np.errstate(divide="ignore"):
-        return _pairwise_dims(at, bt, s, 0, at.shape[0])
-
-
-def _dim_term(at: np.ndarray, bt: np.ndarray, s: float, l: int) -> np.ndarray:
-    buf = np.subtract(at[l][:, None], bt[l][None, :])
-    np.abs(buf, out=buf)
-    if s < S_ZERO_THRESHOLD:
-        np.log(buf, out=buf)
-    else:
-        buf **= s
-    return buf
-
-
-def _pairwise_dims(at: np.ndarray, bt: np.ndarray, s: float, lo: int, n: int) -> np.ndarray:
-    """numpy's ``pairwise_sum`` over dimensions ``lo .. lo+n-1``, one (m, j) slice at a time."""
-    if n < 8:
-        acc = _dim_term(at, bt, s, lo)
-        for l in range(lo + 1, lo + n):
-            acc += _dim_term(at, bt, s, l)
-        return acc
-    if n <= 128:
-        # lane k holds dims k, k+8, ... below `body`; lanes combine as
-        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), built pairwise so only a few
-        # (m, j) buffers are live at once
-        body = n - n % 8
-
-        def lanes(k: int, width: int) -> np.ndarray:
-            if width == 1:
-                acc = _dim_term(at, bt, s, lo + k)
-                for l in range(lo + k + 8, lo + body, 8):
-                    acc += _dim_term(at, bt, s, l)
-                return acc
-            acc = lanes(k, width // 2)
-            acc += lanes(k + width // 2, width // 2)
-            return acc
-
-        res = lanes(0, 8)
-        for l in range(lo + body, lo + n):
-            res += _dim_term(at, bt, s, l)
-        return res
-    n2 = n // 2
-    n2 -= n2 % 8
-    res = _pairwise_dims(at, bt, s, lo, n2)
-    res += _pairwise_dims(at, bt, s, lo + n2, n - n2)
-    return res
+        for lo in range(0, m, rows):
+            buf = block[: min(rows, m - lo)]
+            np.subtract(a[lo : lo + rows, None, :], b[None, :, :], out=buf)
+            np.abs(buf, out=buf)
+            if s < S_ZERO_THRESHOLD:
+                np.log(buf, out=buf)
+            else:
+                buf **= s
+            np.sum(buf, axis=2, out=out[lo : lo + rows])
+    return out
 
 
 def log_dist_block(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
@@ -173,9 +147,10 @@ def log_dist_block(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
 
     ``a`` has shape (m, p) and ``b`` (j, p); the result is (m, j).  Coincident
     pairs produce ``-inf``.  The ``1/s * log mean`` form avoids overflow for
-    small exponents.  Bit-identical to ``np.log((diff**s).mean(axis=2)) / s``
+    small exponents.  This is ``np.log((diff**s).mean(axis=2)) / s``
     (``np.log(diff).mean(axis=2)`` below the s threshold) over the (m, j, p)
-    tensor ``diff = |a[:, None] - b[None]|``, without building it.
+    tensor ``diff = |a[:, None] - b[None]|``, which ``dim_sum_block`` builds
+    one block of rows at a time, so memory stays near the (m, j) result.
     """
     p = np.shape(a)[1]
     out = dim_sum_block(a, b, s)

@@ -150,6 +150,20 @@ class TestConfigFile:
         assert report["K"] == 3
         assert report["config"]["whitening"] is False
 
+    def test_file_fills_flags_that_have_a_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"density": "uniform", "p": 2, "n": 10, "K": 2, "seeds": 2}))
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "comparison.json").read_text())["seeds"] == [0, 1]
+
+    def test_flag_equal_to_its_default_beats_the_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"density": "uniform", "p": 2, "n": 10, "K": 2, "seeds": 4}))
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(cfg), "--seeds", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "comparison.json").read_text())["seeds"] == [0]
+
 
 class TestDiagnose:
     def test_report_and_tidy_csvs(self, tmp_path):

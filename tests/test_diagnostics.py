@@ -170,7 +170,9 @@ class TestCL2:
         for n in (1, 5, 40):
             assert cl2_discrepancy(rng.random((n, 4))) >= 0.0
 
-    # rows per cross-term block, forced small through the element budget
+    # rows per cross-term block, forced small through the shared element
+    # budget: below one row (n * p over it), one row, and 3 and 4 rows,
+    # which split n = 4, 12 and 13 into uneven blocks
     @pytest.mark.parametrize("n", [1, 4, 12, 13])
     def test_row_blocks_match_the_whole_tensor(self, monkeypatch, n):
         rng = np.random.default_rng(n)
@@ -178,8 +180,9 @@ class TestCL2:
             pts = rng.random((n, p))
             want = cl2_reference(pts)
             assert cl2_discrepancy(pts) == want
-            monkeypatch.setattr(diagnostics, "CL2_BLOCK_ELEMENTS", 4 * n * p)
-            assert cl2_discrepancy(pts) == want, f"p={p}"
+            for budget in (1, n * p, 3 * n * p, 4 * n * p):
+                monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", budget)
+                assert cl2_discrepancy(pts) == want, f"p={p} budget={budget}"
             monkeypatch.undo()
 
 

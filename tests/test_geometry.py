@@ -1,10 +1,13 @@
 """Distance and criterion tests, including property-based checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medsampler import geometry
 from medsampler.errors import ConfigError
 from medsampler.geometry import (
     S_ZERO_THRESHOLD,
@@ -24,9 +27,8 @@ from medsampler.geometry import (
 def log_dist_reference(a, b, s):
     """The (m, j, p) tensor formula ``log_dist_block`` must match bit for bit.
 
-    ``log_dist_block`` adds per-dimension slices in numpy's pairwise
-    summation order; if a numpy release changes that order, the equality
-    tests below fail.
+    ``log_dist_block`` builds this tensor a block of rows at a time; every
+    block must give the same bits as the whole tensor.
     """
     diff = np.abs(a[:, None, :] - b[None, :, :])
     with np.errstate(divide="ignore"):
@@ -35,7 +37,7 @@ def log_dist_reference(a, b, s):
         return np.log((diff**s).mean(axis=2)) / s
 
 
-# below 8, between 8 and the 128-element block, and the recursive split
+# a spread of dimensions, small to above 256
 KERNEL_DIMS = [*range(1, 18), 31, 64, 127, 128, 129, 200, 257]
 KERNEL_EXPONENTS = [0.0, 1e-9, 0.7, 2.0 - 4.5e-12, 2.0, 3.0]
 
@@ -141,14 +143,41 @@ class TestLogDistBlock:
         assert np.array_equal(got, log_dist_reference(a, b, 0.0))
 
     def test_result_does_not_depend_on_memory_layout(self):
-        # the tensor formula sums in pairwise order only over a C-ordered
-        # tensor; the kernel uses that order for every input layout
+        # the pairwise sum runs over a contiguous axis only in a C-ordered
+        # tensor; the kernel builds one for every input layout
         rng = np.random.default_rng(6)
         a = rng.uniform(size=(7, 12))
         b = rng.uniform(size=(5, 12))
         for s in KERNEL_EXPONENTS:
             got = log_dist_block(np.asfortranarray(a), np.asfortranarray(b), s)
             assert np.array_equal(got, log_dist_reference(a, b, s))
+
+    @pytest.mark.parametrize("s", KERNEL_EXPONENTS)
+    def test_row_blocks_match_the_whole_tensor(self, monkeypatch, s):
+        # element budgets below one row (j * p over it), of one row, and of
+        # 2 and 3 rows, which split m = 7 into uneven blocks
+        for p in (1, 2, 10, 30, 129):
+            rng = np.random.default_rng(200 + p)
+            a = rng.standard_normal((7, p))
+            b = rng.standard_normal((5, p))
+            a[3] = b[1]
+            want = log_dist_reference(a, b, s)
+            for budget in (1, 5 * p, 10 * p, 15 * p):
+                monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", budget)
+                got = log_dist_block(a, b, s)
+                assert np.array_equal(got, want), f"p={p} budget={budget}"
+
+    def test_memory_stays_near_the_result(self):
+        # the unblocked (n, n, p) tensor would take 320 MB
+        n, p = 2000, 10
+        pts = np.random.default_rng(8).uniform(size=(n, p))
+        tracemalloc.start()
+        try:
+            log_dist_block(pts, pts, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * (n * n + geometry.BLOCK_ELEMENTS)
 
     def test_dim_sum_is_the_unscaled_sum(self):
         rng = np.random.default_rng(7)
