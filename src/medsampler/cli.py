@@ -8,13 +8,13 @@ timings go to manifest.json only, never to report.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__
 from .baselines import ChainSpec, adaptive_metropolis, followup_mcmc
@@ -104,7 +104,11 @@ def _build_density(args) -> DensityModel:
             raise ConfigError("--density external needs --cmd and --p")
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("MED_THREADS", "1"))
+            raw = os.environ.get("MED_THREADS", "1")
+            try:
+                threads = int(raw)
+            except ValueError:
+                raise ConfigError(f"MED_THREADS must be an integer, got {raw!r}") from None
         box = _parse_box(args.box, args.p) if args.box else None
         return make_external(args.cmd, timeout=args.timeout, max_concurrency=threads, p=args.p, box=box)
     raise ConfigError(f"unknown density {name!r}")
@@ -240,51 +244,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _truth_cdfs(model: DensityModel, args):
-    """Per-dimension truth marginal CDFs, as callables on unit-scale coordinates."""
-    name = args.density
-    if name == "uniform":
-        return [lambda u: u for _ in range(model.p)]
-    if name == "ar1":
-        sigma = args.sigma
-        lo = ndtr(-0.5 / sigma)
-        hi = ndtr(0.5 / sigma)
-
-        def cdf(u, s=sigma, lo=lo, hi=hi):
-            return (ndtr((u - 0.5) / s) - lo) / (hi - lo)
-
-        return [cdf for _ in range(model.p)]
-    if name == "banana":
-        g1 = np.linspace(model.box[0, 0], model.box[0, 1], 400)
-        g2 = np.linspace(model.box[1, 0], model.box[1, 1], 400)
-        xx, yy = np.meshgrid(g1, g2, indexing="ij")
-        dens = np.exp(-0.5 * xx**2 / 100.0 - 0.5 * (yy + 0.03 * xx**2 - 3.0) ** 2)
-        cdfs = []
-        for axis, grid in ((1, g1), (0, g2)):
-            marg = np.trapezoid(dens, axis=axis)
-            cum = np.concatenate([[0.0], np.cumsum((marg[1:] + marg[:-1]) / 2.0 * np.diff(grid))])
-            cum /= cum[-1]
-            lo, span = grid[0], grid[-1] - grid[0]
-            cdfs.append(lambda u, g=grid, c=cum, lo=lo, span=span: np.interp(lo + u * span, g, c))
-        return cdfs
-    if name == "prior":
-        factors = _parse_prior(args.prior)
-        box = _parse_box(args.box, len(factors)) if args.box else np.tile([0.0, 1.0], (len(factors), 1))
-        cdfs = []
-        for l, factor in enumerate(factors):
-            grid = np.linspace(box[l, 0], box[l, 1], 2001)
-            dens = np.exp([factor.log_pdf(x) for x in grid])
-            cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
-            cum /= cum[-1]
-            lo, span = box[l, 0], box[l, 1] - box[l, 0]
-            cdfs.append(lambda u, g=grid, c=cum, lo=lo, span=span: np.interp(lo + u * span, g, c))
-        return cdfs
-    raise ConfigError(f"no closed truth for density {name!r}")
-
-
-def _truth_transform(points: np.ndarray, cdfs) -> np.ndarray:
-    cols = [np.asarray(cdfs[l](points[:, l]), dtype=float) for l in range(points.shape[1])]
-    return np.column_stack(cols)
+def _require_truth(args, model: DensityModel) -> None:
+    """A truth comparison needs the density's truth map; without one it is a usage error."""
+    if model.truth_transform is None:
+        raise ConfigError(f"no closed truth for density {args.density!r}")
 
 
 def _ks_uniform(u: np.ndarray) -> float:
@@ -313,20 +276,17 @@ def cmd_diagnose(args) -> int:
 
     truth_rows = None
     if args.truth:
-        if args.density is None:
-            raise ConfigError("--truth needs --density (plus its parameters)")
-        model = _build_density(args)
-        if model.p != df.points.shape[1]:
-            raise ConfigError(
-                f"design has {df.points.shape[1]} dimensions, density has {model.p}"
-            )
-        cdfs = _truth_cdfs(model, args)
-        transformed = _truth_transform(df.points, cdfs)
+        with _build_density(args) as model:
+            _require_truth(args, model)
+            if model.p != df.points.shape[1]:
+                raise ConfigError(
+                    f"design has {df.points.shape[1]} dimensions, density has {model.p}"
+                )
+            truth_rows = model.truth_transform(df.points)
         payload["truth"] = {
-            "cl2_transformed": cl2_discrepancy(transformed),
-            "marginal_max_error": _ks_uniform(transformed),
+            "cl2_transformed": cl2_discrepancy(truth_rows),
+            "marginal_max_error": _ks_uniform(truth_rows),
         }
-        truth_rows = transformed
 
     write_json(out / "report.json", payload)
 
@@ -398,12 +358,7 @@ def cmd_followup(args) -> int:
     return 0
 
 
-def _bench_one(args, p_override: int | None, seeds: list[int]) -> dict:
-    if p_override is not None:
-        args.p = p_override
-    model = _build_density(args)
-    cdfs = _truth_cdfs(model, args)
-
+def _bench_one(args, model: DensityModel, seeds: list[int]) -> dict:
     entry = {
         "density": args.density,
         "p": model.p,
@@ -416,7 +371,7 @@ def _bench_one(args, p_override: int | None, seeds: list[int]) -> dict:
         config.seed = seed
         design, report = run(model, config)
         entry["n"], entry["K"], entry["budget"] = report.n, report.K, report.budget
-        u = _truth_transform(design.points, cdfs)
+        u = model.truth_transform(design.points)
         entry["med"]["cl2"].append(cl2_discrepancy(u))
         entry["med"]["marginal_error"].append(_ks_uniform(u))
         entry["med"]["evaluations"].append(report.budget)
@@ -424,13 +379,13 @@ def _bench_one(args, p_override: int | None, seeds: list[int]) -> dict:
         chain_ledger = EvaluationLedger()
         spec = ChainSpec(start=np.full(model.p, 0.5), length=1, seed=seed)
         mres = adaptive_metropolis(model, spec, chain_ledger, eval_budget=report.budget)
-        u = _truth_transform(mres.chain, cdfs)
+        u = model.truth_transform(mres.chain)
         entry["metropolis"]["cl2"].append(cl2_discrepancy(u))
         entry["metropolis"]["marginal_error"].append(_ks_uniform(u))
         entry["metropolis"]["evaluations"].append(mres.evaluations)
         entry["metropolis"]["accept_rate"].append(mres.accept_rate)
 
-    u = _truth_transform(hammersley(entry["budget"], model.p), cdfs)
+    u = model.truth_transform(hammersley(entry["budget"], model.p))
     entry["hammersley"] = {
         "cl2": [cl2_discrepancy(u)],
         "marginal_error": [_ks_uniform(u)],
@@ -440,19 +395,22 @@ def _bench_one(args, p_override: int | None, seeds: list[int]) -> dict:
 
 
 def cmd_bench(args) -> int:
-    if args.density == "external":
-        raise ConfigError("bench needs a builtin density: budget fairness requires cheap truth")
     seeds = list(range(args.seeds))
+    ps = [int(v) for v in args.sweep.split(",") if v.strip()] if args.sweep else [args.p]
+    with contextlib.ExitStack() as stack:
+        models = []
+        # every model is built and checked before the first run starts
+        for p in ps:
+            args.p = p
+            model = stack.enter_context(_build_density(args))
+            _require_truth(args, model)
+            if args.sweep and model.p != p:
+                raise ConfigError(f"--sweep varies p, but {args.density} has dimension {model.p}")
+            models.append(model)
+        entries = [_bench_one(args, model, seeds) for model in models]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    if args.sweep:
-        if args.density != "ar1":
-            raise ConfigError("--sweep varies p and is only defined for --density ar1")
-        ps = [int(v) for v in args.sweep.split(",") if v.strip()]
-        payload = {"seeds": seeds, "sweep": [_bench_one(args, p, seeds) for p in ps]}
-    else:
-        payload = {"seeds": seeds, **_bench_one(args, None, seeds)}
+    payload = {"seeds": seeds, "sweep": entries} if args.sweep else {"seeds": seeds, **entries[0]}
     write_json(out / "comparison.json", payload)
     print(f"benchmark -> {out / 'comparison.json'}")
     return 0

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, toeplitz
+from scipy.special import ndtr
 
 from .errors import ConfigError, DensityProtocolError, SingularCovarianceError
 from .geometry import LOGF_FLOOR
@@ -80,7 +81,13 @@ class EvaluationLedger:
 
 @dataclass
 class DensityModel:
-    """A log-unnormalized density on the unit cube with its original-scale box."""
+    """A log-unnormalized density on the unit cube with its original-scale box.
+
+    ``truth_transform`` maps an (n, p) block of unit-scale points into the
+    unit cube by the Rosenblatt map (Rosenblatt 1952, Ann. Math. Stat. 23),
+    u_l = F(x_l | x_1..x_{l-1}), which sends an exact sample of the density to
+    an iid uniform one; it is None when the density is not known in closed form.
+    """
 
     p: int
     box: np.ndarray
@@ -88,6 +95,7 @@ class DensityModel:
     name: str
     logf_original: Callable[[np.ndarray], float] | None = None
     pool: "_ExternalPool | None" = None
+    truth_transform: Callable[[np.ndarray], np.ndarray] | None = None
 
     def to_original(self, u: np.ndarray) -> np.ndarray:
         lo, hi = self.box[:, 0], self.box[:, 1]
@@ -123,6 +131,12 @@ def _validate_box(box: np.ndarray, p: int) -> np.ndarray:
     if np.any(box[:, 1] <= box[:, 0]):
         raise ConfigError("box upper bounds must exceed lower bounds")
     return box
+
+
+def _trapezoid_cdf(grid: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Normalized cumulative trapezoid integral of ``dens`` over ``grid``."""
+    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
+    return cum / cum[-1]
 
 
 def _evaluate(model: DensityModel, worker: int, u: np.ndarray) -> tuple[float, float]:
@@ -198,19 +212,36 @@ def eval_batch(
 
 
 def make_banana() -> DensityModel:
-    """Banana-shaped 2-d test density on the box [-40, 40] x [-25, 10]."""
+    """Banana-shaped 2-d test density on the box [-40, 40] x [-25, 10].
+
+    Its truth map is u1 = F(x1), u2 = F(x2 | x1).  F(x1) integrates
+    exp(-x1^2/200) P(x2 in box | x1) by the trapezoid rule on 8001 points;
+    F(x2 | x1) is the CDF of N(3 - 0.03 x1^2, 1) truncated to the box.  Both
+    normal masses are taken as upper tails: the plain difference
+    ndtr(10 - m) - ndtr(-25 - m) is 1 - 1 = 0 once |x1| exceeds about 38.
+    """
+    box = np.array([[-40.0, 40.0], [-25.0, 10.0]])
+    grid = np.linspace(box[0, 0], box[0, 1], 8001)
+    m = 3.0 - 0.03 * grid**2
+    cum = _trapezoid_cdf(
+        grid, np.exp(-0.5 * grid**2 / 100.0) * (ndtr(m - box[1, 0]) - ndtr(m - box[1, 1]))
+    )
 
     def logf(x: np.ndarray) -> float:
         x1, x2 = x[0], x[1]
         return -0.5 * x1**2 / 100.0 - 0.5 * (x2 + 0.03 * x1**2 - 3.0) ** 2
 
-    return DensityModel(
-        p=2,
-        box=np.array([[-40.0, 40.0], [-25.0, 10.0]]),
-        kind="builtin",
-        name="banana",
-        logf_original=logf,
+    def truth(points: np.ndarray) -> np.ndarray:
+        x1, x2 = model.to_original(points).T
+        m = 3.0 - 0.03 * x1**2
+        top = ndtr(m - box[1, 0])
+        mass = top - ndtr(m - box[1, 1])
+        return np.column_stack([np.interp(x1, grid, cum), (top - ndtr(m - x2)) / mass])
+
+    model = DensityModel(
+        p=2, box=box, kind="builtin", name="banana", logf_original=logf, truth_transform=truth
     )
+    return model
 
 
 def make_uniform(p: int) -> DensityModel:
@@ -223,11 +254,18 @@ def make_uniform(p: int) -> DensityModel:
         kind="builtin",
         name="uniform",
         logf_original=lambda x: 0.0,
+        truth_transform=lambda u: np.array(u, dtype=float),
     )
 
 
 def make_ar1_normal(p: int, rho: float, sigma: float) -> DensityModel:
-    """Normal density N(0.5, sigma^2 R) with AR(1) correlation R_ij = rho^|i-j|."""
+    """Normal density N(0.5, sigma^2 R) with AR(1) correlation R_ij = rho^|i-j|.
+
+    The truth map is ndtr(L^-1 (x - 0.5)) with L the Cholesky factor of the
+    covariance: the Rosenblatt map of the untruncated normal.  It ignores the
+    truncation to the unit cube, which at p=10, rho 0.9, sigma 0.125 drops
+    4.1e-4 of the probability mass (1e7 draws, standard error 6e-6).
+    """
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")
     if sigma <= 0:
@@ -243,12 +281,17 @@ def make_ar1_normal(p: int, rho: float, sigma: float) -> DensityModel:
         z = solve_triangular(chol, x - 0.5, lower=True)
         return -0.5 * float(z @ z)
 
+    def truth(points: np.ndarray) -> np.ndarray:
+        z = solve_triangular(chol, (np.asarray(points, dtype=float) - 0.5).T, lower=True)
+        return ndtr(z.T)
+
     return DensityModel(
         p=p,
         box=_identity_box(p),
         kind="builtin",
         name=f"ar1-normal(p={p}, rho={rho}, sigma={sigma})",
         logf_original=logf,
+        truth_transform=truth,
     )
 
 
@@ -283,16 +326,32 @@ def make_piecewise_prior(
 def make_product_prior(
     factors: Sequence[PriorFactor], box: np.ndarray | None = None
 ) -> DensityModel:
-    """Product of one-dimensional prior factors as a density model."""
+    """Product of one-dimensional prior factors as a density model.
+
+    The factors are independent, so each factor's CDF (trapezoid rule on 2001
+    points over its box interval) is the Rosenblatt map.
+    """
     p = len(factors)
     if p < 1:
         raise ConfigError("need at least one prior factor")
     box = _identity_box(p) if box is None else _validate_box(box, p)
+    tables = []
+    for (lo, hi), f in zip(box, factors):
+        grid = np.linspace(lo, hi, 2001)
+        tables.append((grid, _trapezoid_cdf(grid, np.exp([f.log_pdf(x) for x in grid]))))
 
     def logf(x: np.ndarray) -> float:
         return sum(f.log_pdf(x[l]) for l, f in enumerate(factors))
 
-    return DensityModel(p=p, box=box, kind="builtin", name="product-prior", logf_original=logf)
+    def truth(points: np.ndarray) -> np.ndarray:
+        x = model.to_original(points)
+        return np.column_stack([np.interp(x[:, l], g, c) for l, (g, c) in enumerate(tables)])
+
+    model = DensityModel(
+        p=p, box=box, kind="builtin", name="product-prior", logf_original=logf,
+        truth_transform=truth,
+    )
+    return model
 
 
 class _Worker:

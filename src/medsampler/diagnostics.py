@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln
 
 from .engine import Design
 from .errors import ConfigError
@@ -139,23 +139,6 @@ def cl2_discrepancy(points: np.ndarray) -> float:
     term3 = prods.sum() / (n * n)
     sq = (13.0 / 12.0) ** p - term2 + term3
     return math.sqrt(max(sq, 0.0))
-
-
-def normal_cdf_transform(
-    points: np.ndarray,
-    mean: np.ndarray | float | None = None,
-    sd: np.ndarray | float | None = None,
-) -> np.ndarray:
-    """Map points to the unit cube through per-dimension normal CDFs.
-
-    With mean/sd omitted, the sample statistics of the point set are used;
-    pass the true parameters when the target distribution is known.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    mu = np.mean(points, axis=0) if mean is None else np.broadcast_to(mean, (points.shape[1],))
-    s = np.std(points, axis=0, ddof=1) if sd is None else np.broadcast_to(sd, (points.shape[1],))
-    s = np.maximum(np.asarray(s, dtype=float), 1e-12)
-    return ndtr((points - mu) / s)
 
 
 def probability_balance(design: Design) -> tuple[np.ndarray, float]:

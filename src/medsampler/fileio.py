@@ -48,18 +48,31 @@ class DesignFile:
     stages: np.ndarray
 
 
-def write_design(
-    path: str | Path, points: np.ndarray, logf: np.ndarray, stages: np.ndarray
+def _write_table(
+    path: str | Path, points: np.ndarray, logf: np.ndarray, tags: np.ndarray, tag: str
 ) -> None:
+    """CSV of x1..xp, logf and one integer column named ``tag``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, p = points.shape
-    lines = [",".join(_coord_names(p) + ["logf", "stage"])]
+    lines = [",".join(_coord_names(p) + ["logf", tag])]
     for i in range(n):
         row = [fmt(c) for c in points[i]]
         row.append(fmt(logf[i]))
-        row.append(str(int(stages[i])))
+        row.append(str(int(tags[i])))
         lines.append(",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_design(
+    path: str | Path, points: np.ndarray, logf: np.ndarray, stages: np.ndarray
+) -> None:
+    _write_table(path, points, logf, stages, "stage")
+
+
+def write_samples(
+    path: str | Path, samples: np.ndarray, logf: np.ndarray, chain_ids: np.ndarray
+) -> None:
+    _write_table(path, samples, logf, chain_ids, "chain")
 
 
 def write_ledger(path: str | Path, ledger: EvaluationLedger) -> None:
@@ -76,22 +89,10 @@ def write_ledger(path: str | Path, ledger: EvaluationLedger) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_samples(
-    path: str | Path, samples: np.ndarray, logf: np.ndarray, chain_ids: np.ndarray
-) -> None:
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    n, p = samples.shape
-    lines = [",".join(_coord_names(p) + ["logf", "chain"])]
-    for i in range(n):
-        row = [fmt(c) for c in samples[i]]
-        row.append(fmt(logf[i]))
-        row.append(str(int(chain_ids[i])))
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _parse_rows(path: Path, expected_tail: list[str]) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV whose header is x1..xp followed by ``expected_tail`` columns."""
+def _parse_rows(
+    path: Path, head: list[str], tail: list[str]
+) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV whose header is ``head``, then x1..xp, then ``tail``."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -100,9 +101,13 @@ def _parse_rows(path: Path, expected_tail: list[str]) -> tuple[list[str], list[l
     if not rows:
         raise FileFormatError(f"{path}: empty file")
     header = rows[0]
-    if header[-len(expected_tail):] != expected_tail or len(header) <= len(expected_tail):
+    if (
+        header[: len(head)] != head
+        or header[-len(tail):] != tail
+        or len(header) <= len(head) + len(tail)
+    ):
         raise FileFormatError(
-            f"{path}: expected header ending in {','.join(expected_tail)}, got {','.join(header)}"
+            f"{path}: expected header {','.join(head + ['x1..xp'] + tail)}, got {','.join(header)}"
         )
     body = rows[1:]
     if not body:
@@ -115,95 +120,60 @@ def _parse_rows(path: Path, expected_tail: list[str]) -> tuple[list[str], list[l
     return header, body
 
 
-def _cell_float(path: Path, header: list[str], lineno: int, col: int, cell: str) -> float:
+def _cell(path: Path, header: list[str], lineno: int, col: int, cell: str, kind: type = float):
+    """Parse one cell as ``kind`` (float or int); an error names its line and column."""
     try:
-        return float(cell)
+        return kind(cell)
     except ValueError:
+        what = "an integer" if kind is int else "a number"
         raise FileFormatError(
-            f"{path} line {lineno} column '{header[col]}': not a number: {cell!r}"
+            f"{path} line {lineno} column '{header[col]}': not {what}: {cell!r}"
         ) from None
 
 
-def _cell_int(path: Path, header: list[str], lineno: int, col: int, cell: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise FileFormatError(
-            f"{path} line {lineno} column '{header[col]}': not an integer: {cell!r}"
-        ) from None
-
-
-def read_design(path: str | Path) -> DesignFile:
+def _read_table(path: str | Path, tag: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read what ``_write_table`` writes: (points, logf, integer tags)."""
     path = Path(path)
-    header, body = _parse_rows(path, ["logf", "stage"])
+    header, body = _parse_rows(path, [], ["logf", tag])
     p = len(header) - 2
     points = np.empty((len(body), p))
     logf = np.empty(len(body))
-    stages = np.empty(len(body), dtype=int)
+    tags = np.empty(len(body), dtype=int)
     for i, row in enumerate(body):
         lineno = i + 2
         for l in range(p):
-            points[i, l] = _cell_float(path, header, lineno, l, row[l])
-        logf[i] = _cell_float(path, header, lineno, p, row[p])
-        stages[i] = _cell_int(path, header, lineno, p + 1, row[p + 1])
-    return DesignFile(points=points, logf=logf, stages=stages)
+            points[i, l] = _cell(path, header, lineno, l, row[l])
+        logf[i] = _cell(path, header, lineno, p, row[p])
+        tags[i] = _cell(path, header, lineno, p + 1, row[p + 1], int)
+    return points, logf, tags
+
+
+def read_design(path: str | Path) -> DesignFile:
+    return DesignFile(*_read_table(path, "stage"))
+
+
+def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _read_table(path, "chain")
 
 
 def read_ledger(path: str | Path) -> EvaluationLedger:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        raise FileFormatError(f"{path}: empty file")
-    header = rows[0]
-    if (
-        len(header) < 5
-        or header[:2] != ["seq", "stage"]
-        or header[-2:] != ["logf", "duration_ms"]
-    ):
-        raise FileFormatError(f"{path}: unrecognized ledger header {','.join(header)}")
+    header, body = _parse_rows(path, ["seq", "stage"], ["logf", "duration_ms"])
     p = len(header) - 4
     ledger = EvaluationLedger()
-    for i, row in enumerate(rows[1:]):
+    for i, row in enumerate(body):
         lineno = i + 2
-        if len(row) != len(header):
-            raise FileFormatError(
-                f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        seq = _cell_int(path, header, lineno, 0, row[0])
+        seq = _cell(path, header, lineno, 0, row[0], int)
         if seq != i:
             raise FileFormatError(f"{path} line {lineno}: sequence {seq} out of order")
-        stage = _cell_int(path, header, lineno, 1, row[1])
-        x = np.array(
-            [_cell_float(path, header, lineno, 2 + l, row[2 + l]) for l in range(p)]
-        )
-        logf = _cell_float(path, header, lineno, 2 + p, row[2 + p])
-        duration = _cell_float(path, header, lineno, 3 + p, row[3 + p])
+        stage = _cell(path, header, lineno, 1, row[1], int)
+        x = np.array([_cell(path, header, lineno, 2 + l, row[2 + l]) for l in range(p)])
+        logf = _cell(path, header, lineno, 2 + p, row[2 + p])
+        duration = _cell(path, header, lineno, 3 + p, row[3 + p])
         ledger.records.append(
             LedgerRecord(seq=seq, stage=stage, x=x, logf=logf, duration_ms=duration)
         )
-    if ledger.count == 0:
-        raise FileFormatError(f"{path}: no data rows")
     return ledger
-
-
-def read_samples(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    path = Path(path)
-    header, body = _parse_rows(path, ["logf", "chain"])
-    p = len(header) - 2
-    samples = np.empty((len(body), p))
-    logf = np.empty(len(body))
-    chain_ids = np.empty(len(body), dtype=int)
-    for i, row in enumerate(body):
-        lineno = i + 2
-        for l in range(p):
-            samples[i, l] = _cell_float(path, header, lineno, l, row[l])
-        logf[i] = _cell_float(path, header, lineno, p, row[p])
-        chain_ids[i] = _cell_int(path, header, lineno, p + 1, row[p + 1])
-    return samples, logf, chain_ids
 
 
 def ledger_digest(ledger: EvaluationLedger) -> str:

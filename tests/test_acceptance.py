@@ -13,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from medsampler.baselines import ChainSpec, adaptive_metropolis
 from medsampler.cli import main
@@ -291,49 +290,20 @@ def test_criterion_10_hand_values():
 # --- criterion 11: benchmark direction vs Metropolis --------------------------
 
 
-@lru_cache(maxsize=1)
-def banana_x1_cdf():
-    """Marginal CDF of x1 on a fine grid: exp(-x1^2/200) P(x2 in box | x1)."""
-    box = make_banana().box
-    grid = np.linspace(box[0, 0], box[0, 1], 8001)
-    m = 3.0 - 0.03 * grid**2
-    dens = np.exp(-0.5 * grid**2 / 100.0) * (ndtr(m - box[1, 0]) - ndtr(m - box[1, 1]))
-    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
-    return grid, cum / cum[-1]
-
-
-def banana_rosenblatt(points_unit: np.ndarray) -> np.ndarray:
-    """Rosenblatt map of unit-scale points: u1 = F(x1), u2 = F(x2 | x1).
-
-    F(x2 | x1) is the CDF of N(3 - 0.03 x1^2, 1) truncated to the box.  The
-    map sends an exact banana sample to a uniform one, which the marginal map
-    of ``banana_uniformized`` does not for this dependent density.  Both
-    normal masses are taken as upper tails: the plain difference
-    ndtr(10 - m) - ndtr(-25 - m) is 1 - 1 = 0 once |x1| exceeds about 38.
-    """
-    box = make_banana().box
-    pts = np.atleast_2d(np.asarray(points_unit, dtype=float))
-    x1 = box[0, 0] + pts[:, 0] * (box[0, 1] - box[0, 0])
-    x2 = box[1, 0] + pts[:, 1] * (box[1, 1] - box[1, 0])
-    m = 3.0 - 0.03 * x1**2
-    top = ndtr(m - box[1, 0])
-    mass = top - ndtr(m - box[1, 1])
-    grid, cum = banana_x1_cdf()
-    return np.column_stack([np.interp(x1, grid, cum), (top - ndtr(m - x2)) / mass])
-
-
+# criterion 11 measures through the package's Rosenblatt map; this check
+# holds its first coordinate to the local marginal oracle of criterion 3
 def test_criterion_11_rosenblatt_first_coordinate_is_the_marginal():
     box, cdfs = banana_truth_cdfs()
     grid, cum = cdfs[0]
     u = np.linspace(0.0, 1.0, 1001)
-    mapped = banana_rosenblatt(np.column_stack([u, np.full_like(u, 0.5)]))
+    mapped = make_banana().truth_transform(np.column_stack([u, np.full_like(u, 0.5)]))
     expected = np.interp(box[0, 0] + u * (box[0, 1] - box[0, 0]), grid, cum)
     assert np.max(np.abs(mapped[:, 0] - expected)) < 1e-3
 
 
 def test_criterion_11_rosenblatt_box_corners():
     corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    mapped = banana_rosenblatt(corners)
+    mapped = make_banana().truth_transform(corners)
     assert np.all(np.isfinite(mapped))
     assert np.all((mapped >= 0.0) & (mapped <= 1.0))
 
@@ -353,15 +323,16 @@ def test_criterion_11_med_beats_metropolis_majority():
     # a random 109-state subset scores about the same as the full chain
     # (means 0.105 and 0.111 over the 40 seeds); only its last 109 states
     # score far worse (0.229)
+    rosenblatt = make_banana().truth_transform
     med, met = [], []
     for seed in range(10):
         design, report = run(make_banana(), RunConfig(seed=seed))
-        med.append(cl2_discrepancy(banana_rosenblatt(design.points)))
+        med.append(cl2_discrepancy(rosenblatt(design.points)))
         chain_spec = ChainSpec(start=np.array([0.5, 0.5]), length=1, seed=seed)
         result = adaptive_metropolis(
             make_banana(), chain_spec, EvaluationLedger(), eval_budget=report.budget
         )
-        met.append(cl2_discrepancy(banana_rosenblatt(result.chain)))
+        met.append(cl2_discrepancy(rosenblatt(result.chain)))
     assert np.mean(med) < np.mean(met)
 
 

@@ -1,6 +1,7 @@
-"""End-to-end tests of the command-line interface (in-process, no subprocesses)."""
+"""End-to-end tests of the command-line interface, run in-process through ``main``."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +113,15 @@ class TestGenerate:
         assert err.value.code == 2
 
 
+def test_bad_med_threads_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MED_THREADS", "abc")
+    code = main(
+        ["generate", "--density", "external", "--cmd", "true", "--p", "2", "--out", str(tmp_path / "r")]
+    )
+    assert code == 2
+    assert "MED_THREADS" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_file_fills_missing_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -190,6 +200,19 @@ class TestDiagnose:
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["truth"]["marginal_max_error"] <= 1.0
         assert report["truth"]["cl2_transformed"] > 0.0
+
+    def test_truth_for_external_is_usage_error_and_closes_the_children(self, tmp_path):
+        run = generate(tmp_path)
+        closed = tmp_path / "closed"
+        child = tmp_path / "child.py"
+        child.write_text(f"import sys\nsys.stdin.read()\nopen({str(closed)!r}, 'w').close()\n")
+        code = main(
+            ["diagnose", "--design", str(run / "design.csv"), "--out", str(tmp_path / "d"),
+             "--truth", "--density", "external", "--cmd", f"{sys.executable} {child}", "--p", "2"]
+        )
+        assert code == 2
+        # the pool's close() waits for the child, which exits once its stdin closes
+        assert closed.exists()
 
     def test_truth_without_density_is_usage_error(self, tmp_path):
         run = generate(tmp_path)

@@ -13,7 +13,6 @@ from medsampler.diagnostics import (
     diagnostics_report,
     marginals_and_correlations,
     max_energy_log,
-    normal_cdf_transform,
     probability_balance,
     total_energy_log,
 )
@@ -184,21 +183,6 @@ class TestCL2:
                 monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", budget)
                 assert cl2_discrepancy(pts) == want, f"p={p} budget={budget}"
             monkeypatch.undo()
-
-
-class TestNormalTransform:
-    def test_known_parameters(self):
-        pts = np.array([[0.5], [0.625]])
-        out = normal_cdf_transform(pts, mean=0.5, sd=0.125)
-        assert out[0, 0] == pytest.approx(0.5)
-        assert out[1, 0] == pytest.approx(0.8413447, abs=1e-6)
-
-    def test_sample_estimates_center_the_cloud(self):
-        rng = np.random.default_rng(1)
-        pts = 0.5 + 0.1 * rng.standard_normal((500, 2))
-        out = normal_cdf_transform(pts)
-        assert np.all((out >= 0) & (out <= 1))
-        assert np.mean(out) == pytest.approx(0.5, abs=0.02)
 
 
 # ---------------------------------------------------------------- balance
