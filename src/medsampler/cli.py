@@ -476,7 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(ben)
     ben.add_argument("--out", required=True)
     ben.add_argument("--seeds", type=int, default=1, help="number of seeds, 0..count-1")
-    ben.add_argument("--sweep", help="comma list of p values (ar1 only)")
+    ben.add_argument(
+        "--sweep",
+        help="comma list of p values, one comparison each; the density must "
+        "take its dimension from --p (ar1, uniform)",
+    )
     ben.set_defaults(func=cmd_bench)
     return parser
 

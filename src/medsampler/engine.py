@@ -28,6 +28,7 @@ from .geometry import (
     DistanceSpec,
     identity_spec,
     log_dist_block,
+    log_dist_bound,
     psi_log,
     spec_from_sigma,
 )
@@ -255,14 +256,20 @@ def _argmax_min_term(
     ``cond_part + p * log |cond - center|^2``: up to a constant, the s = 2
     term with the center standing in for every candidate and its part left
     out.  At gamma = 0 the parts are zero and this is distance order.
-    Chunks grow 8, 16, 32, 64, then 128 at a time.  After the first chunk the
-    current front-runner is completed to a true score, which safely prunes
-    candidates whose upper bound already falls short.
 
-    The proxy only orders the scan: every score comes from ``log_dist_block``
-    and the min is order-free, so the result does not depend on the order.
-    First-occurrence tie-breaking is preserved because pruned candidates are
-    strictly worse.
+    Before any exact chunk, every candidate's min over the first 8
+    conditioning points is bounded from above through ``log_dist_bound``.
+    The bound's argmax is completed to a true score, the level, and
+    candidates whose bound falls short of it never reach the exact kernel.
+    The survivors are scored exactly in chunks of 8, 16, 32, 64, then 128,
+    pruned against the level after each chunk.  If the level is -inf (the
+    front-runner coincides with a conditioning point in the metric), nothing
+    is pruned until a chunk's front-runner completes to a finite score.
+
+    The proxy only orders the scan and the bound only prunes: every score
+    comes from ``log_dist_block`` and the min is order-free, so the result
+    does not depend on either.  First-occurrence tie-breaking is preserved
+    because pruned candidates are strictly worse.
     """
     m, p = cand.shape
     two_p = 2.0 * p
@@ -273,17 +280,27 @@ def _argmax_min_term(
     cond_part = cond_part[order]
     total = len(cond)
 
+    # (cand_part + cond_part) + two_p * logd, here and below, in that
+    # association: the bound holds term by term because float addition and
+    # the positive scaling are monotone
+    bound = np.add(cand_part[:, None], cond_part[None, :8])
+    logd = log_dist_bound(cand, cond[:8], s)
+    logd *= two_p
+    bound += logd
+    bound = bound.min(axis=1)
+    lead = int(np.argmax(bound))
     ub = np.full(m, np.inf)
-    alive = np.ones(m, dtype=bool)
-    level = -np.inf
+    full = cand_part[lead] + cond_part + two_p * log_dist_block(cand[lead : lead + 1], cond, s)[0]
+    level = ub[lead] = full.min()
+    alive = bound >= level if level > -np.inf else np.ones(m, dtype=bool)
+    # the front-runner's score is complete; the chunks score the others
+    alive[lead] = False
     pos = 0
     size = 8
-    while pos < total:
+    while pos < total and alive.any():
         stop = min(pos + size, total)
         size = min(2 * size, 128)
         idx = np.nonzero(alive)[0]
-        # (cand_part + cond_part) + two_p * logd, built in place in that
-        # association so the scores stay bit-identical
         terms = np.add(cand_part[idx][:, None], cond_part[None, pos:stop])
         logd = log_dist_block(cand[idx], cond[pos:stop], s)
         logd *= two_p
@@ -301,6 +318,7 @@ def _argmax_min_term(
             level = ub[star]
         if level > -np.inf:
             alive &= ub >= level
+    alive[lead] = True
     scores = np.where(alive, ub, -np.inf)
     best = int(np.argmax(scores))
     return best, float(scores[best])
@@ -359,9 +377,8 @@ def propose_new_points(
                 delta=cfg.delta,
             )
 
-        theta = cfg.theta if cfg.theta is not None else default_theta(state.pts[train])
         surrogate = fit(
-            state.pts[train], state.logf[train], theta, jitter_start=cfg.jitter
+            state.pts[train], state.logf[train], cfg.theta, jitter_start=cfg.jitter
         )
         yhat = np.atleast_1d(predict(surrogate, pool.points))
 

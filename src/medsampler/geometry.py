@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 
@@ -161,6 +162,38 @@ def log_dist_block(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
         np.log(out, out=out)
     out /= s
     return out
+
+
+def log_dist_bound(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    """Upper bounds on ``log_dist_block(a, b, s)``, from one ``cdist`` call.
+
+    Power means grow with the exponent, so ``d_s <= d_2`` for ``s <= 2`` (the
+    product form included) and ``d_s <= d_inf`` for any ``s``.  The margin
+    covers the rounding of both sides: relative error in the pairwise sum of
+    ``p`` powers, amplified by ``1/s`` in the power form, and in the logs.
+    Distances are floored where their ``s``-th power would be subnormal,
+    since underflow can lift the kernel's mean above the true one; the floor
+    also keeps the bound off -inf, so the margin never meets an infinity.
+    Where the kernel's sum of powers could overflow, the bound is +inf.
+    """
+    p = np.shape(a)[1]
+    info = np.finfo(float)
+    if s > 2.0:
+        d = cdist(a, b, "chebyshev")
+        np.maximum(d, info.tiny ** (1.0 / s), out=d)
+        d[d > (info.max / (2 * p)) ** (1.0 / s)] = np.inf
+        np.log(d, out=d)
+    else:
+        d = cdist(a, b, "sqeuclidean")
+        np.maximum(d, info.tiny, out=d)
+        d /= p
+        np.log(d, out=d)
+        d *= 0.5
+    eps = info.eps
+    rel = 8.0 * eps * p * (1.0 + np.log(p))
+    slack = rel + (8.0 * eps * p / s if s >= S_ZERO_THRESHOLD else 0.0)
+    d += rel * np.abs(d) + slack
+    return d
 
 
 def pair_term_log(

@@ -203,23 +203,23 @@ def _dedup_keep_first(points: np.ndarray) -> np.ndarray:
 
 
 def _too_close(points: np.ndarray, reference: np.ndarray, delta: float) -> np.ndarray:
-    """Boolean mask of rows of ``points`` within max-norm ``delta`` of ``reference``."""
-    if reference.size == 0 or points.size == 0:
-        return np.zeros(len(points), dtype=bool)
-    if len(points) * len(reference) <= 4096:
-        gaps = np.abs(points[:, None, :] - reference[None, :, :]).max(axis=2)
-        return gaps.min(axis=1) < delta
-    # A max-norm hit needs |x0 - r0| < delta, so a sorted window on the first
-    # coordinate screens almost everything before the exact check.
-    order = np.argsort(reference[:, 0], kind="stable")
-    ref_sorted = reference[order]
-    r0 = ref_sorted[:, 0]
-    lo = np.searchsorted(r0, points[:, 0] - delta, side="left")
-    hi = np.searchsorted(r0, points[:, 0] + delta, side="right")
+    """Boolean mask of rows of ``points`` within max-norm ``delta`` of ``reference``.
+
+    ``reference`` must be sorted by its first coordinate.  A max-norm hit
+    needs ``|x0 - r0| < delta``, so a ``searchsorted`` window on that
+    coordinate, widened to ``2 * delta`` so that rounding of its ends can
+    never drop a hit, screens almost every pair before the exact check.
+    """
+    r0 = reference[:, 0]
+    lo = np.searchsorted(r0, points[:, 0] - 2.0 * delta, side="left")
+    hi = np.searchsorted(r0, points[:, 0] + 2.0 * delta, side="right")
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(points)), counts)
+    # position of each (point, reference) pair inside its point's window
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    gaps = np.abs(points[rows] - reference[lo[rows] + offsets]).max(axis=1)
     mask = np.zeros(len(points), dtype=bool)
-    for i in np.nonzero(hi > lo)[0]:
-        window = ref_sorted[lo[i] : hi[i]]
-        mask[i] = bool(np.abs(window - points[i]).max(axis=1).min() < delta)
+    mask[rows[gaps < delta]] = True
     return mask
 
 
@@ -261,16 +261,9 @@ def local_candidates(
     np.clip(lo, 0.0, 1.0, out=lo)
     np.clip(hi, 0.0, 1.0, out=hi)
     span = np.maximum(hi - lo, delta)
-
-    # Only evaluated points near the fill box can reject a fill point; combos
-    # can extrapolate up to half a span outside it.
-    near = existing[
-        np.all((existing >= lo - delta) & (existing <= hi + delta), axis=1)
-    ]
-    margin = 0.5 * span + delta
-    near_wide = existing[
-        np.all((existing >= lo - margin) & (existing <= hi + margin), axis=1)
-    ]
+    # one sort serves the fill screen and the combo screen; the screen's
+    # mask does not depend on how ties are ordered
+    existing = np.take(existing, np.argsort(existing[:, 0]), axis=0)
 
     shift = rng.random(p)
     blocks: list[np.ndarray] = []
@@ -279,10 +272,12 @@ def local_candidates(
     max_draws = 200 * m
     while filled < m and start < max_draws:
         count = min(m + 64, max_draws - start)
-        block = np.mod(_halton_cached(start, count, p) + shift[None, :], 1.0)
+        # the sum lies in [0, 2), so one exact subtraction is the mod 1
+        block = _halton_cached(start, count, p) + shift[None, :]
+        block -= block >= 1.0
         start += count
         pts = lo[None, :] + block * span[None, :]
-        pts = pts[~_too_close(pts, near, delta)]
+        pts = pts[~_too_close(pts, existing, delta)]
         blocks.append(pts)
         filled += len(pts)
     if filled < m:
@@ -299,7 +294,7 @@ def local_candidates(
         a, b = not_center[order[0]], not_center[order[1]]
         w = rng.uniform(-0.5, 1.5, size=n_combos)
         raw = np.clip(w[:, None] * a[None, :] + (1.0 - w)[:, None] * b[None, :], 0.0, 1.0)
-        combo_pts = raw[~_too_close(raw, near_wide, delta)]
+        combo_pts = raw[~_too_close(raw, existing, delta)]
 
     points = np.vstack([fill_pts, combo_pts])
     keep = _dedup_keep_first(points)

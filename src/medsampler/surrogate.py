@@ -44,12 +44,10 @@ class SurrogateModel:
     gls_mean: float
 
 
-def default_theta(x_train: np.ndarray) -> float:
-    """Correlation parameter putting correlation 0.5 at the median NN distance."""
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
-    if len(x_train) < 2:
+def _theta_rule(d2: np.ndarray) -> float:
+    """``default_theta`` from the squared distance matrix; fills its diagonal."""
+    if len(d2) < 2:
         return np.log(2.0)
-    d2 = cdist(x_train, x_train, "sqeuclidean")
     np.fill_diagonal(d2, np.inf)
     d_med2 = float(np.median(d2.min(axis=1)))
     if d_med2 <= 0.0:
@@ -57,17 +55,29 @@ def default_theta(x_train: np.ndarray) -> float:
     return np.log(2.0) / d_med2
 
 
+def default_theta(x_train: np.ndarray) -> float:
+    """Correlation parameter putting correlation 0.5 at the median NN distance."""
+    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
+    return _theta_rule(cdist(x_train, x_train, "sqeuclidean"))
+
+
 def fit(
     x_train: np.ndarray,
     y_train: np.ndarray,
-    theta: float,
+    theta: float | None = None,
     jitter_start: float = JITTER_START,
 ) -> SurrogateModel:
     """Factorize the correlation matrix once and store both solves.
 
+    ``theta=None`` applies the ``default_theta`` rule to the training points.
     Jitter starts at 1e-8 and escalates tenfold on factorization failure; if
     1e-4 is still not enough the error names the closest pair of training
     points, which is virtually always the culprit.
+
+    R is built in the one squared-distance matrix: its off-diagonal entries
+    are the bits of ``exp(-theta * d2)`` and its diagonal is ``1 + jitter``,
+    as adding ``jitter * I`` would give.  Peak memory is that matrix plus the
+    factor's copy.
     """
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     y_train = np.asarray(y_train, dtype=float).ravel()
@@ -80,16 +90,21 @@ def fit(
         raise ConfigError("training values must be finite (floor them first)")
     if not np.all(np.isfinite(x_train)):
         raise ConfigError("training points must be finite")
-    if theta <= 0:
+    if theta is not None and theta <= 0:
         raise ConfigError(f"theta must be positive, got {theta}")
     if not 0.0 < jitter_start <= JITTER_LIMIT:
         raise ConfigError(f"jitter_start must be in (0, {JITTER_LIMIT}], got {jitter_start}")
 
-    corr = np.exp(-theta * cdist(x_train, x_train, "sqeuclidean"))
+    corr = cdist(x_train, x_train, "sqeuclidean")
+    if theta is None:
+        theta = _theta_rule(corr)
+    corr *= -theta
+    np.exp(corr, out=corr)
     jitter = jitter_start
     while True:
+        np.fill_diagonal(corr, 1.0 + jitter)
         try:
-            factor = cho_factor(corr + jitter * np.eye(k), lower=True)
+            factor = cho_factor(corr, lower=True, check_finite=False)
             break
         except LinAlgError:
             if jitter >= JITTER_LIMIT:
@@ -103,8 +118,8 @@ def fit(
                 ) from None
             jitter *= 10.0
 
-    rinv_y = cho_solve(factor, y_train)
-    rinv_one = cho_solve(factor, np.ones(k))
+    solves = cho_solve(factor, np.column_stack([y_train, np.ones(k)]), check_finite=False)
+    rinv_y, rinv_one = np.ascontiguousarray(solves.T)
     gls_mean = float(rinv_y.sum() / rinv_one.sum())
     return SurrogateModel(
         x_train=x_train,

@@ -301,6 +301,24 @@ class TestBench:
         )
         assert code == 2
 
+    def test_sweep_help_names_every_p_density(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "ar1 only" not in text
+        assert "take its dimension from --p (ar1, uniform)" in text
+
+    def test_uniform_sweep_table(self, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(
+            ["bench", "--density", "uniform", "--sweep", "1,3", "--n", "8", "--K", "2",
+             "--out", str(out)]
+        )
+        assert code == 0
+        comp = json.loads((out / "comparison.json").read_text())
+        assert [entry["p"] for entry in comp["sweep"]] == [1, 3]
+
     def test_sweep_needs_ar1(self, tmp_path):
         code = main(
             ["bench", "--density", "banana", "--sweep", "1,2", "--out", str(tmp_path / "b")]

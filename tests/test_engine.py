@@ -278,7 +278,7 @@ def pass1_inputs(rng, p, m, n_cond, gamma):
     return cand, cand_part, cond, gamma * logf(cond), center
 
 
-SCAN_EXPONENTS = [0.0, 0.7, 2.0 - 4.5e-12, 2.0, 3.0]
+SCAN_EXPONENTS = [0.0, 1e-9, 0.7, 2.0 - 4.5e-12, 2.0, 3.0]
 
 
 class TestArgmaxMinTerm:
@@ -316,8 +316,9 @@ class TestArgmaxMinTerm:
 
 
 class TestScanOrder:
-    """The proxy scan order must give the center-ordered scan's result bit
-    for bit: it only changes which pairs are scored, never a score."""
+    """The proxy scan order and the bound screen must give the center-ordered
+    scan's result bit for bit: they only change which pairs are scored,
+    never a score."""
 
     @pytest.mark.parametrize("s", SCAN_EXPONENTS)
     @pytest.mark.parametrize("p", [1, 2, 3, 10, 30])
@@ -363,7 +364,7 @@ class TestScanOrder:
         assert got == (0, -np.inf)
 
     @pytest.mark.parametrize("s", SCAN_EXPONENTS)
-    @pytest.mark.parametrize("n_cond", [1, 3, 7])
+    @pytest.mark.parametrize("n_cond", [1, 3, 7, 8])
     def test_fewer_conditioning_points_than_a_chunk(self, n_cond, s):
         rng = np.random.default_rng(n_cond)
         args = pass1_inputs(rng, 3, 90, n_cond, gamma=0.7)
@@ -378,6 +379,62 @@ class TestScanOrder:
         got = _argmax_min_term(*args[:4], s, args[4])
         assert got[0] == 0
         assert got == center_ordered_argmax(*args[:4], s, args[4])
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_candidate_on_a_conditioning_point(self, s):
+        rng = np.random.default_rng(9)
+        cand, cand_part, cond, cond_part, center = pass1_inputs(rng, 4, 120, 150, 0.6)
+        cand[5] = cond[17]
+        got = _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
+        assert got[0] != 5
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_front_runner_at_minus_infinity(self, s):
+        # candidate 0 leads every bound, but it sits on a conditioning point
+        # that the proxy puts last, outside the bounded first chunk
+        rng = np.random.default_rng(10)
+        cand, cand_part, cond, cond_part, center = pass1_inputs(rng, 3, 100, 60, 0.5)
+        cand_part[0] = 50.0
+        cond[-1] = cand[0]
+        cond_part[-1] = 1e6
+        got = _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
+        assert got[0] != 0 and np.isfinite(got[1])
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_all_candidates_at_minus_infinity(self, s):
+        rng = np.random.default_rng(11)
+        cand, cand_part, cond, cond_part, center = pass1_inputs(rng, 3, 40, 30, 0.5)
+        cand = cond[rng.integers(len(cond), size=len(cand))]
+        got = _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
+        assert got == (0, -np.inf)
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_every_part_at_the_floor(self, s):
+        rng = np.random.default_rng(12)
+        gamma = 0.8
+        cand, _, cond, _, center = pass1_inputs(rng, 5, 150, 120, gamma)
+        cand_part = np.full(len(cand), gamma * LOGF_FLOOR)
+        cond_part = np.full(len(cond), gamma * LOGF_FLOOR)
+        got = _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
+
+    def test_bound_screen_cuts_exact_pair_dims(self, monkeypatch):
+        """Candidates whose power-mean bound falls short of the level never
+        reach the exact kernel.  Exact ``log_dist_block`` pair-dims over the
+        whole run (both passes): 14,423,200 when every candidate's first chunk
+        is scored exactly, 2,027,980 with the bound screen."""
+        pair_dims = [0]
+
+        def counting_kernel(a, b, s):
+            pair_dims[0] += len(a) * len(b) * a.shape[1]
+            return log_dist_block(a, b, s)
+
+        monkeypatch.setattr("medsampler.engine.log_dist_block", counting_kernel)
+        run(make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0, K=3))
+        assert 0 < pair_dims[0] <= 14_423_200 // 2
 
     def test_pass1_scores_few_of_the_pairs(self, monkeypatch):
         """The proxy order exists to prune early: on the ar1 p=10 reference

@@ -17,6 +17,7 @@ from medsampler.geometry import (
     dist_s,
     identity_spec,
     log_dist_block,
+    log_dist_bound,
     pair_term_log,
     pair_term_matrix,
     psi_log,
@@ -185,6 +186,53 @@ class TestLogDistBlock:
         diff = np.abs(a[:, None, :] - b[None, :, :])
         assert np.array_equal(dim_sum_block(a, b, 2.0), (diff**2.0).sum(axis=2))
         assert np.array_equal(dim_sum_block(a, b, 0.0), np.log(diff).sum(axis=2))
+
+
+BOUND_EXPONENTS = [0.0, 1e-9, 1e-8, 1e-3, 0.7, 1.5, 2.0 - 4.5e-12, 2.0, 2.5, 3.0, 7.0]
+
+
+def bound_cases(rng, p):
+    """Blocks where the bound is tight or the kernel rounds badly: random
+    pairs, equal gaps on every axis (every power mean equal), one dominant
+    axis, gaps near underflow, and a coincident pair."""
+    b = rng.random((6, p))
+    near = b[rng.integers(6, size=12)]
+    step = rng.random((12, 1)) * 10.0 ** rng.uniform(-12, 0, (12, 1))
+    diagonal = near + rng.choice([-1.0, 1.0], (12, p)) * step
+    dominant = near.copy()
+    dominant[:, rng.integers(p)] += rng.normal(size=12)
+    tiny = near + 10.0 ** rng.uniform(-320, -150, (12, 1)) * rng.normal(size=(12, p))
+    a = np.vstack([rng.random((12, p)), diagonal, dominant, tiny, b[:1]])
+    return a, b
+
+
+class TestLogDistBound:
+    """``log_dist_bound`` must sit above the kernel's computed values, since
+    pass 1 prunes by it."""
+
+    @pytest.mark.parametrize("s", BOUND_EXPONENTS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 30, 64])
+    def test_bounds_the_kernel(self, p, s):
+        for trial in range(20):
+            a, b = bound_cases(np.random.default_rng(1000 * p + trial), p)
+            with np.errstate(under="ignore"):
+                exact = log_dist_block(a, b, s)
+            bound = log_dist_bound(a, b, s)
+            assert not np.isnan(bound).any()
+            assert np.all(exact <= bound), f"trial {trial}"
+
+    def test_tight_at_the_matching_exponent(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.random((20, 10)), rng.random((7, 10))
+        gap = log_dist_bound(a, b, 2.0) - log_dist_block(a, b, 2.0)
+        assert np.all((gap >= 0.0) & (gap < 1e-12))
+
+    def test_coincident_points_stay_finite(self):
+        a = np.array([[0.25, 0.5], [0.75, 0.5]])
+        for s in BOUND_EXPONENTS:
+            bound = log_dist_bound(a, a, s)
+            assert np.all(np.isfinite(bound))
+            assert np.all(np.isneginf(np.diag(log_dist_block(a, a, s))))
 
 
 class TestWhitening:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import medsampler.qmc as qmc
 from medsampler.errors import CandidatePoolError, ConfigError
 from medsampler.qmc import (
     DEDUP_TOLERANCE,
@@ -10,6 +11,7 @@ from medsampler.qmc import (
     LatticeRule,
     _cbc_vector,
     _dedup_keep_first,
+    _too_close,
     cbc_lattice,
     halton_block,
     hammersley,
@@ -216,3 +218,102 @@ class TestLocalCandidates:
         d = np.abs(pool.points[:, None, :] - pool.points[None, :, :]).max(axis=2)
         np.fill_diagonal(d, 1.0)
         assert d.min() >= DEDUP_TOLERANCE
+
+
+def tensor_too_close(points, reference, delta):
+    """The separation screen as the whole (points, reference, p) tensor."""
+    if len(reference) == 0 or len(points) == 0:
+        return np.zeros(len(points), dtype=bool)
+    gaps = np.abs(points[:, None, :] - reference[None, :, :]).max(axis=2)
+    return gaps.min(axis=1) < delta
+
+
+def sorted_by_first(reference):
+    return reference[np.argsort(reference[:, 0], kind="stable")]
+
+
+class TestTooClose:
+    """The sorted-window screen must give the whole tensor's mask exactly."""
+
+    DELTA = 1e-3
+
+    def check(self, points, reference, delta=DELTA):
+        got = _too_close(points, sorted_by_first(reference), delta)
+        np.testing.assert_array_equal(got, tensor_too_close(points, reference, delta))
+        return got
+
+    @pytest.mark.parametrize("factor", [1.0, 1.0 - 1e-12, 1.0 + 1e-12])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_gaps_at_the_threshold(self, factor, axis):
+        rng = np.random.default_rng(axis)
+        reference = rng.uniform(0.2, 0.8, size=(40, 3))
+        points = reference.copy()
+        points[:, axis] += self.DELTA * factor * rng.choice([-1.0, 1.0], size=40)
+        got = self.check(points, reference)
+        if factor < 1.0:
+            assert got.all()
+
+    def test_shared_first_coordinates(self):
+        rng = np.random.default_rng(3)
+        reference = rng.random((60, 4))
+        reference[:, 0] = rng.choice([0.25, 0.5, 0.75], size=60)
+        points = rng.random((200, 4))
+        points[:, 0] = rng.choice([0.25, 0.5, 0.75, 0.5 + 0.5e-3], size=200)
+        points[:20] = reference[:20] + 0.4e-3
+        got = self.check(points, reference)
+        assert got[:20].all()
+
+    def test_empty_reference(self):
+        points = np.random.default_rng(4).random((5, 2))
+        got = self.check(points, np.zeros((0, 2)))
+        assert not got.any()
+
+    def test_one_point(self):
+        reference = np.array([[0.5, 0.5]])
+        points = np.array([[0.5, 0.5], [0.5 + 0.9e-3, 0.5 - 0.9e-3], [0.5, 0.5 + 1e-3]])
+        got = self.check(points, reference)
+        assert list(got) == [True, True, False]
+        assert list(self.check(points[:1], reference)) == [True]
+
+    def test_dense_random_pairs(self):
+        rng = np.random.default_rng(5)
+        reference = rng.random((500, 2))
+        points = np.vstack([
+            rng.random((300, 2)),
+            reference[:100] + rng.uniform(-1.5e-3, 1.5e-3, size=(100, 2)),
+        ])
+        self.check(points, reference)
+
+    def test_pool_matches_the_tensor_screen(self, monkeypatch):
+        """Evaluated points within 0.5 delta of the fill stream must reject
+        those fills and ones 1.5 delta away must not, as the whole tensor
+        screens them."""
+        delta = 1e-3
+        region = np.array([[0.3, 0.3, 0.3], [0.6, 0.5, 0.7], [0.4, 0.6, 0.5]])
+        center, m, seed = region[2], 80, 11
+        # the fill stream local_candidates will draw: the shift comes first
+        shift = np.random.default_rng(seed).random(3)
+        lo, hi = region.min(axis=0), region.max(axis=0)
+        block = np.mod(halton_block(0, m + 64, 3) + shift, 1.0)
+        stream = lo + block * (hi - lo)
+        rng = np.random.default_rng(12)
+        step = rng.choice([-1.0, 1.0], size=(60, 3))
+        existing = np.vstack([
+            region,
+            stream[:30] + 0.5 * delta * step[:30],
+            stream[30:60] + 1.5 * delta * step[30:],
+            rng.random((200, 3)),
+        ])
+        pools = []
+        for screen in (qmc._too_close, tensor_too_close):
+            monkeypatch.setattr(qmc, "_too_close", screen)
+            pools.append(
+                local_candidates(
+                    center, region, m, 5, existing, np.random.default_rng(seed), delta=delta
+                )
+            )
+        np.testing.assert_array_equal(pools[0].points, pools[1].points)
+        assert pools[0].provenance == pools[1].provenance
+        fills = pools[0].points[: m]
+        kept = (np.abs(fills[:, None] - stream[None, :60]).max(axis=2) == 0).any(axis=0)
+        assert not kept[:30].any() and kept[30:].all()

@@ -1,8 +1,11 @@
 """Limit-kriging surrogate tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 import medsampler.surrogate as sg
 from medsampler.errors import ConfigError, SurrogateFitError
@@ -79,6 +82,79 @@ class TestFit:
         monkeypatch.setattr(sg, "cho_factor", flaky)
         m = fit(np.array([[0.2], [0.8]]), np.array([0.0, 1.0]), theta=1.0)
         assert m.jitter == pytest.approx(1e-6)
+
+
+def reference_fit(x, y, theta, jitter_start=sg.JITTER_START):
+    """The fit as a formula: exp(-theta * d2) + jitter * I, two solves."""
+    k = len(x)
+    corr = np.exp(-theta * cdist(x, x, "sqeuclidean"))
+    jitter = jitter_start
+    while True:
+        try:
+            factor = cho_factor(corr + jitter * np.eye(k), lower=True)
+            break
+        except LinAlgError:
+            jitter *= 10.0
+    rinv_y = cho_solve(factor, y)
+    rinv_one = cho_solve(factor, np.ones(k))
+    return rinv_y, rinv_one, float(rinv_y.sum() / rinv_one.sum()), jitter
+
+
+FIT_FIELDS = ("rinv_y", "rinv_one", "gls_mean", "theta", "jitter")
+
+
+class TestFitConstruction:
+    """The in-place, two-right-hand-side fit keeps the formula's bits."""
+
+    @pytest.mark.parametrize("k, p", [(1, 2), (2, 1), (17, 3), (120, 10), (200, 30)])
+    def test_default_theta_is_applied_inside(self, k, p):
+        rng = np.random.default_rng(k + p)
+        x = rng.random((k, p))
+        y = rng.normal(size=k)
+        a = fit(x, y)
+        b = fit(x, y, default_theta(x))
+        for name in FIT_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("k, p", [(1, 1), (9, 2), (64, 5), (200, 30)])
+    def test_matches_the_formula(self, k, p):
+        rng = np.random.default_rng(10 * k + p)
+        x = rng.random((k, p))
+        y = rng.normal(size=k) * 40.0
+        theta = default_theta(x)
+        model = fit(x, y, theta)
+        got = (model.rinv_y, model.rinv_one, model.gls_mean, model.jitter)
+        for mine, ref in zip(got, reference_fit(x, y, theta)):
+            assert np.array_equal(mine, ref)
+
+    def test_duplicates_force_escalation_with_the_same_bits(self):
+        rng = np.random.default_rng(7)
+        x = rng.random((40, 3))
+        x[20:] = x[:20]
+        y = rng.normal(size=40)
+        theta = default_theta(rng.random((40, 3)))
+        model = fit(x, y, theta, jitter_start=1e-16)
+        ref = reference_fit(x, y, theta, jitter_start=1e-16)
+        assert model.jitter > 1e-16
+        got = (model.rinv_y, model.rinv_one, model.gls_mean, model.jitter)
+        for mine, want in zip(got, ref):
+            assert np.array_equal(mine, want)
+
+    def test_peak_memory_is_two_matrices(self):
+        """R lives in the squared-distance matrix, so the peak is that matrix
+        plus the factor's copy: 2.0 matrices here, where the
+        exp(-theta * d2) + jitter * I formula peaks at 3.0."""
+        k = 1200
+        rng = np.random.default_rng(8)
+        x = rng.random((k, 30))
+        y = rng.normal(size=k)
+        tracemalloc.start()
+        try:
+            fit(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * k * k * 8
 
 
 class TestPredict:
