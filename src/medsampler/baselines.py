@@ -16,7 +16,7 @@ import numpy as np
 from .density import DensityModel, EvaluationLedger, eval_logf
 from .engine import Design
 from .errors import ConfigError
-from .surrogate import SurrogateModel, predict
+from .surrogate import SurrogateModel, predict, predict_rows
 
 TARGET_ACCEPT = 0.234
 
@@ -63,19 +63,27 @@ def _check_spec(spec: ChainSpec, p: int) -> np.ndarray:
     return np.tril(scale)
 
 
-def _adapt(S: np.ndarray, u: np.ndarray, alpha: float, step: int, target: float) -> np.ndarray:
-    """Rank-1 update of the proposal factor toward the target acceptance rate.
+def _adapt(
+    S: np.ndarray, u: np.ndarray, v: np.ndarray, alpha: np.ndarray, step: int, target: float
+) -> np.ndarray:
+    """Rank-1 updates of a stack of proposal factors toward the target acceptance rate.
 
-    The updated covariance S(I + eta(alpha-target)uu'/|u|^2)S' stays positive
-    definite because eta <= 1 bounds the rank-1 eigenvalue above -1.
+    ``S`` is (a, p, p), ``u`` (a, p) the step's normal draws, ``v`` (a, p, 1)
+    the products ``S u`` and ``alpha`` (a,) the acceptance probabilities.
+    Each updated covariance S(I + eta(alpha-target)uu'/|u|^2)S' stays positive
+    definite because eta <= 1 bounds the rank-1 eigenvalue above -1.  Stacked
+    ``matmul`` and ``cholesky`` run the one-matrix BLAS and LAPACK kernels per
+    factor, so each update has the bits of updating that factor alone.
     """
-    norm2 = float(u @ u)
-    if norm2 <= 0.0:
-        return S
-    eta = step ** (-2.0 / 3.0)
-    c = eta * (alpha - target) / norm2
-    v = S @ u
-    return np.linalg.cholesky(S @ S.T + c * np.outer(v, v))
+    norm2 = (u[:, None, :] @ u[:, :, None])[:, 0, 0]
+    moved = norm2 > 0.0
+    if not moved.all():
+        out = S.copy()
+        out[moved] = _adapt(S[moved], u[moved], v[moved], alpha[moved], step, target)
+        return out
+    c = step ** (-2.0 / 3.0) * (alpha - target) / norm2
+    outer = c[:, None, None] * (v * v.transpose(0, 2, 1))
+    return np.linalg.cholesky(S @ S.transpose(0, 2, 1) + outer)
 
 
 def adaptive_metropolis(
@@ -92,7 +100,7 @@ def adaptive_metropolis(
     ``spec.length``; otherwise it runs ``spec.length`` steps.
     """
     p = model.p
-    S = _check_spec(spec, p)
+    S = _check_spec(spec, p)[None]
     if eval_budget is not None and eval_budget < 1:
         raise ConfigError(f"evaluation budget must be >= 1, got {eval_budget}")
     rng = np.random.default_rng(spec.seed)
@@ -110,8 +118,9 @@ def adaptive_metropolis(
         elif evals >= eval_budget:
             break
         step += 1
-        u = rng.standard_normal(p)
-        proposal = x + S @ u
+        u = rng.standard_normal((1, p))
+        v = S @ u[:, :, None]
+        proposal = x + v[0, :, 0]
         if np.all((proposal >= 0.0) & (proposal <= 1.0)):
             logf = eval_logf(model, proposal, ledger)
             evals += 1
@@ -122,7 +131,7 @@ def adaptive_metropolis(
             x = proposal
             current = logf
             accepted += 1
-        S = _adapt(S, u, alpha, step, spec.target_accept)
+        S = _adapt(S, u, v, np.array([alpha]), step, spec.target_accept)
         chain.append(x.copy())
     return MetropolisResult(
         chain=np.array(chain).reshape(len(chain), p),
@@ -155,6 +164,13 @@ def followup_mcmc(
     ratio comes from the surrogate, so no exact evaluations are spent and no
     ledger is involved.  No burn-in is dropped: the starts are already in
     high-probability regions.
+
+    The chains advance in lockstep: round t steps every chain whose length is
+    at least t, with one correlation block for the round's in-cube proposals
+    and one stacked update of the proposal factors.  Each chain draws from its
+    own stream in the order a chain run alone would, and ``predict_rows``
+    gives each proposal its one-point value, so the samples are bit for bit
+    those of running the chains one after another.
     """
     points = np.atleast_2d(np.asarray(med.points, dtype=float))
     n, p = points.shape
@@ -163,32 +179,39 @@ def followup_mcmc(
     if np.any(np.diag(S0) == 0.0):
         raise ConfigError("proposal scale must be nonsingular")
 
-    pooled: list[np.ndarray] = []
-    ids: list[np.ndarray] = []
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        x = points[i].copy()
-        current = float(predict(surrogate, x))
-        S = S0.copy()
-        rows = np.empty((lengths[i], p))
-        for step in range(1, lengths[i] + 1):
-            u = rng.standard_normal(p)
-            proposal = x + S @ u
-            if np.all((proposal >= 0.0) & (proposal <= 1.0)):
-                value = float(predict(surrogate, proposal))
-                alpha = min(1.0, math.exp(min(value - current, 0.0)))
-            else:
-                alpha = 0.0
-            if alpha > 0.0 and rng.random() < alpha:
-                x = proposal
-                current = value
-            S = _adapt(S, u, alpha, step, TARGET_ACCEPT)
-            rows[step - 1] = x
-        pooled.append(rows)
-        ids.append(np.full(lengths[i], i, dtype=int))
+    # Chain state in longest-first order, so a round's running chains are a prefix.
+    order = np.argsort(-lengths, kind="stable")
+    steps = lengths[order]
+    first_row = (np.cumsum(lengths) - lengths)[order]
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(i),)))
+        for i in order
+    ]
+    x = points[order]
+    current = [float(predict(surrogate, row)) for row in x]
+    S = np.repeat(S0[None], n, axis=0)
+    u = np.empty((n, p))
+    samples = np.empty((int(lengths.sum()), p))
+    for t in range(1, int(steps[0]) + 1):
+        a = int(np.count_nonzero(steps >= t))
+        for j in range(a):
+            rngs[j].standard_normal(out=u[j])
+        v = S[:a] @ u[:a, :, None]
+        proposal = x[:a] + v[:, :, 0]
+        inside = np.flatnonzero(np.all((proposal >= 0.0) & (proposal <= 1.0), axis=1))
+        alpha = np.zeros(a)
+        if len(inside):
+            values = predict_rows(surrogate, proposal[inside])
+            for j, value in zip(inside.tolist(), values.tolist()):
+                alpha[j] = prob = min(1.0, math.exp(min(value - current[j], 0.0)))
+                if prob > 0.0 and rngs[j].random() < prob:
+                    x[j] = proposal[j]
+                    current[j] = value
+        S[:a] = _adapt(S[:a], u[:a], v, alpha, t, TARGET_ACCEPT)
+        samples[first_row[:a] + (t - 1)] = x[:a]
     return FollowupResult(
-        samples=np.vstack(pooled),
-        chain_ids=np.concatenate(ids),
+        samples=samples,
+        chain_ids=np.repeat(np.arange(n), lengths),
         lengths=lengths,
         weights=weights,
     )

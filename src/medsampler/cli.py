@@ -44,7 +44,8 @@ from .fileio import (
     write_samples,
 )
 from .qmc import hammersley
-from .surrogate import default_theta, fit, predict
+# perfbench/tracer.py wraps cli.default_theta, so it stays importable here.
+from .surrogate import default_theta, fit, predict  # noqa: F401
 
 BUILTIN_DENSITIES = ("banana", "uniform", "ar1", "prior", "external")
 
@@ -344,7 +345,7 @@ def cmd_followup(args) -> int:
 
     x = ledger.points()
     y = ledger.logf_values()
-    surrogate = fit(x, y, default_theta(x))
+    surrogate = fit(x, y)
     design = Design(points=df.points, logf=df.logf, stage=int(df.stages.max()), gamma=1.0)
     result = followup_mcmc(design, surrogate, N=args.N, seed=args.seed)
     values = np.asarray(predict(surrogate, result.samples), dtype=float)

@@ -51,15 +51,16 @@ class DesignFile:
 def _write_table(
     path: str | Path, points: np.ndarray, logf: np.ndarray, tags: np.ndarray, tag: str
 ) -> None:
-    """CSV of x1..xp, logf and one integer column named ``tag``."""
+    """CSV of x1..xp, logf and one integer column named ``tag``.
+
+    ``repr`` of a Python float is ``fmt``'s string, so whole rows are
+    formatted at once from ``tolist()``.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, p = points.shape
-    lines = [",".join(_coord_names(p) + ["logf", tag])]
-    for i in range(n):
-        row = [fmt(c) for c in points[i]]
-        row.append(fmt(logf[i]))
-        row.append(str(int(tags[i])))
-        lines.append(",".join(row))
+    table = np.column_stack([points, np.asarray(logf, dtype=float)]).tolist()
+    tags = np.asarray(tags).astype(int).tolist()
+    lines = [",".join(_coord_names(points.shape[1]) + ["logf", tag])]
+    lines += [f"{','.join(map(repr, row))},{t}" for row, t in zip(table, tags)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -81,11 +82,8 @@ def write_ledger(path: str | Path, ledger: EvaluationLedger) -> None:
     p = len(ledger.records[0].x)
     lines = [",".join(["seq", "stage"] + _coord_names(p) + ["logf", "duration_ms"])]
     for rec in ledger.records:
-        row = [str(rec.seq), str(rec.stage)]
-        row += [fmt(c) for c in rec.x]
-        row.append(fmt(rec.logf))
-        row.append(fmt(rec.duration_ms))
-        lines.append(",".join(row))
+        values = rec.x.tolist() + [float(rec.logf), float(rec.duration_ms)]
+        lines.append(f"{rec.seq},{rec.stage},{','.join(map(repr, values))}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -98,8 +98,7 @@ def fit(
     corr = cdist(x_train, x_train, "sqeuclidean")
     if theta is None:
         theta = _theta_rule(corr)
-    corr *= -theta
-    np.exp(corr, out=corr)
+    _gaussian(corr, theta)
     jitter = jitter_start
     while True:
         np.fill_diagonal(corr, 1.0 + jitter)
@@ -131,24 +130,51 @@ def fit(
     )
 
 
+def _gaussian(d2: np.ndarray, theta: float) -> np.ndarray:
+    """``exp(-theta * d2)`` written over ``d2``.
+
+    ``d2 *= -theta`` rounds each product as ``-theta * d2`` does, so the
+    result has that formula's bits without its two temporaries.
+    """
+    d2 *= -theta
+    return np.exp(d2, out=d2)
+
+
+def _correlation(model: SurrogateModel, xs: np.ndarray) -> np.ndarray:
+    """Correlations of each row of ``xs`` (m, p) with the training points, (m, k)."""
+    return _gaussian(cdist(xs, model.x_train, "sqeuclidean"), model.theta)
+
+
+def _ratio(model: SurrogateModel, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, or the GLS mean where the denominator is below the floor."""
+    small = np.abs(den) < DENOMINATOR_FLOOR
+    return np.where(small, model.gls_mean, num / np.where(small, 1.0, den))
+
+
 def predict(model: SurrogateModel, x: np.ndarray) -> float | np.ndarray:
     """Limit-kriging prediction at one point (p,) or a block (m, p).
 
     Queries whose denominator magnitude drops below 1e-12 (far from all
     training points) fall back to the generalized-least-squares mean of y.
+    A block holds one (m, k) correlation matrix, and its products with the
+    two solves are BLAS ``gemv`` calls (see ``predict_rows``).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    xs = np.atleast_2d(x)
-    r = np.exp(-model.theta * cdist(xs, model.x_train, "sqeuclidean"))
-    num = r @ model.rinv_y
-    den = r @ model.rinv_one
-    out = np.where(
-        np.abs(den) < DENOMINATOR_FLOOR,
-        model.gls_mean,
-        num / np.where(np.abs(den) < DENOMINATOR_FLOOR, 1.0, den),
-    )
+    r = _correlation(model, np.atleast_2d(x))
+    out = _ratio(model, r @ model.rinv_y, r @ model.rinv_one)
     return float(out[0]) if single else out
+
+
+def predict_rows(model: SurrogateModel, xs: np.ndarray) -> np.ndarray:
+    """``predict(model, row)`` for each row of ``xs`` (m, p), from one correlation block.
+
+    Each row's value has the bits of its one-point prediction: the stacked
+    product (m, 1, k) @ (k,) runs numpy's one-point ``dot`` per row, where
+    ``predict``'s block product is a ``gemv`` whose last bits differ.
+    """
+    r = _correlation(model, np.atleast_2d(np.asarray(xs, dtype=float)))[:, None, :]
+    return _ratio(model, (r @ model.rinv_y)[:, 0], (r @ model.rinv_one)[:, 0])
 
 
 def theta_sensitivity(

@@ -1,9 +1,12 @@
 """Tests for the Metropolis baseline and the surrogate follow-up sampler."""
 
+import math
+
 import numpy as np
 import pytest
 
 from medsampler.baselines import (
+    TARGET_ACCEPT,
     ChainSpec,
     adaptive_metropolis,
     chain_lengths,
@@ -11,13 +14,14 @@ from medsampler.baselines import (
 )
 from medsampler.density import (
     EvaluationLedger,
+    eval_logf,
     make_ar1_normal,
     make_banana,
     make_uniform,
 )
 from medsampler.engine import Design
 from medsampler.errors import ConfigError
-from medsampler.surrogate import default_theta, fit
+from medsampler.surrogate import default_theta, fit, predict
 
 
 def run_chain(model, start, length, scale=None, seed=0, budget=None):
@@ -216,3 +220,122 @@ class TestFollowup:
         med, surrogate = make_followup_inputs()
         with pytest.raises(ConfigError):
             followup_mcmc(med, surrogate, N=100, scale=np.zeros((2, 2)))
+
+
+def reference_adapt(S, u, alpha, step, target):
+    """One chain's rank-1 proposal-factor update, one matrix at a time."""
+    norm2 = float(u @ u)
+    if norm2 <= 0.0:
+        return S
+    eta = step ** (-2.0 / 3.0)
+    c = eta * (alpha - target) / norm2
+    v = S @ u
+    return np.linalg.cholesky(S @ S.T + c * np.outer(v, v))
+
+
+def reference_followup(med, surrogate, N, seed=0, scale=None):
+    """The follow-up run one chain after another, one ``predict`` per step.
+
+    This is the oracle ``followup_mcmc``'s lockstep rounds must match bit for
+    bit: every chain's stream, proposals, values and factor updates.
+    """
+    points = np.atleast_2d(np.asarray(med.points, dtype=float))
+    n, p = points.shape
+    lengths, _ = chain_lengths(med.logf, N)
+    S0 = 0.1 * np.eye(p) if scale is None else np.tril(np.asarray(scale, dtype=float))
+    pooled, ids = [], []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        x = points[i].copy()
+        current = float(predict(surrogate, x))
+        S = S0.copy()
+        rows = np.empty((lengths[i], p))
+        for step in range(1, lengths[i] + 1):
+            u = rng.standard_normal(p)
+            proposal = x + S @ u
+            if np.all((proposal >= 0.0) & (proposal <= 1.0)):
+                value = float(predict(surrogate, proposal))
+                alpha = min(1.0, math.exp(min(value - current, 0.0)))
+            else:
+                alpha = 0.0
+            if alpha > 0.0 and rng.random() < alpha:
+                x = proposal
+                current = value
+            S = reference_adapt(S, u, alpha, step, TARGET_ACCEPT)
+            rows[step - 1] = x
+        pooled.append(rows)
+        ids.append(np.full(lengths[i], i, dtype=int))
+    return np.vstack(pooled), np.concatenate(ids), lengths
+
+
+def assert_matches_reference(med, surrogate, N, seed=0, scale=None):
+    got = followup_mcmc(med, surrogate, N=N, seed=seed, scale=scale)
+    samples, chain_ids, lengths = reference_followup(med, surrogate, N, seed, scale)
+    assert np.array_equal(got.samples, samples)
+    assert np.array_equal(got.chain_ids, chain_ids)
+    assert np.array_equal(got.lengths, lengths)
+
+
+def oracle_inputs(p, starts):
+    """A surrogate on 12p training points and a design of 7 of them.
+
+    ``starts`` is "interior", "faces" (every start on a face or a corner of
+    the cube) or "zero-length" (two chains whose weight underflows to 0).
+    """
+    rng = np.random.default_rng(100 + p)
+    x = rng.random((12 * p, p))
+    if starts == "faces":
+        x[np.arange(7), rng.integers(p, size=7)] = rng.integers(2, size=7).astype(float)
+        x[0] = 1.0
+    y = -0.5 * np.sum(((x - 0.5) / 0.2) ** 2, axis=1)
+    logf = y[:7].copy()
+    if starts == "zero-length":
+        logf[[2, 5]] = logf.max() - 1000.0
+    med = Design(points=x[:7], logf=logf, stage=1, gamma=1.0)
+    return med, fit(x, y)
+
+
+def custom_scale(p):
+    return 0.05 * np.eye(p) + 0.02 * np.tril(np.ones((p, p)), -1)
+
+
+class TestLockstepMatchesReference:
+    """``followup_mcmc`` against the one-chain-at-a-time oracle, with ``array_equal``."""
+
+    @pytest.mark.parametrize("N", [1, 37, 2000])
+    @pytest.mark.parametrize("starts", ["interior", "faces", "zero-length"])
+    @pytest.mark.parametrize("custom", [False, True], ids=["default-scale", "custom-scale"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 10])
+    def test_grid(self, p, custom, starts, N):
+        med, surrogate = oracle_inputs(p, starts)
+        if starts == "zero-length":
+            assert np.count_nonzero(chain_lengths(med.logf, N)[0] == 0) == 2
+        scale = custom_scale(p) if custom else None
+        assert_matches_reference(med, surrogate, N, seed=p + N, scale=scale)
+
+    def test_square_grid_design(self):
+        med, surrogate = make_followup_inputs()
+        assert_matches_reference(med, surrogate, 500, seed=4)
+
+
+class TestAdaptiveMetropolisMatchesReference:
+    def test_chain_bits(self):
+        """The baseline's one-factor ``_adapt`` call gives the oracle's updates."""
+        model = make_banana()
+        result, _ = run_chain(model, [0.5, 0.6], 400, seed=3)
+        rng = np.random.default_rng(3)
+        x = np.array([0.5, 0.6])
+        ledger = EvaluationLedger()
+        current = eval_logf(model, x, ledger)
+        S = 0.1 * np.eye(2)
+        for step in range(1, 401):
+            u = rng.standard_normal(2)
+            proposal = x + S @ u
+            alpha = 0.0
+            if np.all((proposal >= 0.0) & (proposal <= 1.0)):
+                value = eval_logf(model, proposal, ledger)
+                alpha = min(1.0, math.exp(min(value - current, 0.0)))
+            if alpha > 0.0 and rng.random() < alpha:
+                x, current = proposal, value
+            S = reference_adapt(S, u, alpha, step, TARGET_ACCEPT)
+            assert np.array_equal(result.chain[step - 1], x)

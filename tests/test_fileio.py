@@ -41,6 +41,45 @@ class TestFloatFormat:
         assert fmt(0.5) == "0.5"
 
 
+EDGE_VALUES = [-0.0, 5e-324, 1e308, 0.1, 1.0, float("inf"), float("-inf")]
+
+
+def fmt_rows(head, rows):
+    """The file text the writers produce, built one ``fmt`` call per value."""
+    return "\n".join([head] + [",".join(row) for row in rows]) + "\n"
+
+
+class TestWriterBytes:
+    """Whole-row ``repr`` formatting writes the bytes of ``fmt`` value by value."""
+
+    def test_samples_and_design(self, tmp_path):
+        points = np.array(EDGE_VALUES[:6]).reshape(3, 2)
+        logf = np.array(EDGE_VALUES[4:])
+        tags = np.array([0, 7, 123456789])
+        want = fmt_rows(
+            "x1,x2,logf,{tag}",
+            [[fmt(c) for c in points[i]] + [fmt(logf[i]), str(tags[i])] for i in range(3)],
+        )
+        write_samples(tmp_path / "s.csv", points, logf, tags)
+        write_design(tmp_path / "d.csv", points, logf, tags.tolist())
+        assert (tmp_path / "s.csv").read_text() == want.format(tag="chain")
+        assert (tmp_path / "d.csv").read_text() == want.format(tag="stage")
+
+    def test_ledger(self, tmp_path):
+        ledger = EvaluationLedger()
+        for i, v in enumerate(EDGE_VALUES):
+            ledger.append(np.array([v, EDGE_VALUES[-1 - i]]), v, EDGE_VALUES[(i + 3) % 7])
+        want = fmt_rows(
+            "seq,stage,x1,x2,logf,duration_ms",
+            [
+                [str(r.seq), str(r.stage)] + [fmt(c) for c in r.x] + [fmt(r.logf), fmt(r.duration_ms)]
+                for r in ledger.records
+            ],
+        )
+        write_ledger(tmp_path / "l.csv", ledger)
+        assert (tmp_path / "l.csv").read_text() == want
+
+
 class TestDesignRoundTrip:
     def test_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 import medsampler.surrogate as sg
 from medsampler.errors import ConfigError, SurrogateFitError
-from medsampler.surrogate import default_theta, fit, predict, theta_sensitivity
+from medsampler.surrogate import default_theta, fit, predict, predict_rows, theta_sensitivity
 
 
 class TestFit:
@@ -196,6 +196,35 @@ class TestPredict:
         block = predict(m, q)
         singles = np.array([predict(m, qi) for qi in q])
         np.testing.assert_allclose(block, singles, rtol=1e-12)
+
+
+    def test_peak_memory_is_one_block(self):
+        """The (m, k) correlation block is built in place, so the peak is
+        that block plus m-sized vectors; ``exp(-theta * cdist(...))`` held
+        two blocks at once."""
+        m, k = 2000, 654
+        rng = np.random.default_rng(9)
+        model = fit(rng.random((k, 2)), rng.normal(size=k))
+        x = rng.random((m, 2))
+        tracemalloc.start()
+        try:
+            predict(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * m * k
+
+    def test_rows_match_one_point_predictions(self):
+        """``predict_rows`` gives every row the bits of its own ``predict``
+        call, including rows far enough away to take the GLS mean."""
+        rng = np.random.default_rng(11)
+        x = rng.random((300, 3))
+        y = rng.normal(size=300) * 30.0
+        model = fit(x, y)
+        q = np.vstack([rng.random((97, 3)), [[40.0, 40.0, 40.0]]])
+        rows = predict_rows(model, q)
+        assert rows[-1] == model.gls_mean
+        assert np.array_equal(rows, [predict(model, qi) for qi in q])
 
 
 class TestTheta:
