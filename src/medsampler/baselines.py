@@ -44,7 +44,7 @@ class FollowupResult:
     samples: np.ndarray
     chain_ids: np.ndarray
     lengths: np.ndarray
-    weights: np.ndarray
+    logf: np.ndarray
 
 
 def _check_spec(spec: ChainSpec, p: int) -> np.ndarray:
@@ -170,11 +170,13 @@ def followup_mcmc(
     and one stacked update of the proposal factors.  Each chain draws from its
     own stream in the order a chain run alone would, and ``predict_rows``
     gives each proposal its one-point value, so the samples are bit for bit
-    those of running the chains one after another.
+    those of running the chains one after another.  ``logf`` holds each
+    stored state's surrogate value as its chain knew it, which is therefore
+    ``predict(surrogate, state)`` to the last bit.
     """
     points = np.atleast_2d(np.asarray(med.points, dtype=float))
     n, p = points.shape
-    lengths, weights = chain_lengths(med.logf, N)
+    lengths, _ = chain_lengths(med.logf, N)
     S0 = 0.1 * np.eye(p) if scale is None else np.tril(np.asarray(scale, dtype=float))
     if np.any(np.diag(S0) == 0.0):
         raise ConfigError("proposal scale must be nonsingular")
@@ -192,6 +194,7 @@ def followup_mcmc(
     S = np.repeat(S0[None], n, axis=0)
     u = np.empty((n, p))
     samples = np.empty((int(lengths.sum()), p))
+    logf = np.empty(len(samples))
     for t in range(1, int(steps[0]) + 1):
         a = int(np.count_nonzero(steps >= t))
         for j in range(a):
@@ -208,10 +211,12 @@ def followup_mcmc(
                     x[j] = proposal[j]
                     current[j] = value
         S[:a] = _adapt(S[:a], u[:a], v, alpha, t, TARGET_ACCEPT)
-        samples[first_row[:a] + (t - 1)] = x[:a]
+        rows = first_row[:a] + (t - 1)
+        samples[rows] = x[:a]
+        logf[rows] = current[:a]
     return FollowupResult(
         samples=samples,
         chain_ids=np.repeat(np.arange(n), lengths),
         lengths=lengths,
-        weights=weights,
+        logf=logf,
     )

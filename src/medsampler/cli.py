@@ -44,7 +44,7 @@ from .fileio import (
     write_samples,
 )
 from .qmc import hammersley
-# perfbench/tracer.py wraps cli.default_theta, so it stays importable here.
+# perfbench/tracer.py wraps cli.default_theta and cli.predict; keep them importable.
 from .surrogate import default_theta, fit, predict  # noqa: F401
 
 BUILTIN_DENSITIES = ("banana", "uniform", "ar1", "prior", "external")
@@ -339,7 +339,13 @@ def cmd_followup(args) -> int:
     if manifest_path.exists():
         import json
 
-        recorded = json.loads(manifest_path.read_text()).get("ledger_digest")
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except (OSError, ValueError) as exc:
+            raise FileFormatError(f"cannot read {manifest_path} as JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise FileFormatError(f"{manifest_path} must hold a JSON object")
+        recorded = manifest.get("ledger_digest")
         if recorded is not None and recorded != digest_before:
             raise FileFormatError("ledger.csv does not match the digest in manifest.json")
 
@@ -348,10 +354,10 @@ def cmd_followup(args) -> int:
     surrogate = fit(x, y)
     design = Design(points=df.points, logf=df.logf, stage=int(df.stages.max()), gamma=1.0)
     result = followup_mcmc(design, surrogate, N=args.N, seed=args.seed)
-    values = np.asarray(predict(surrogate, result.samples), dtype=float)
 
     out_path = Path(args.out) if args.out else run_dir / "samples.csv"
-    write_samples(out_path, result.samples, values, result.chain_ids)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    write_samples(out_path, result.samples, result.logf, result.chain_ids)
 
     if ledger_digest(read_ledger(ledger_path)) != digest_before:
         raise MedError("ledger changed during follow-up; zero-evaluation contract broken")

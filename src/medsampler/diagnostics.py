@@ -15,15 +15,7 @@ from scipy.special import gammaln
 
 from .engine import Design
 from .errors import ConfigError
-from .geometry import (
-    BLOCK_ELEMENTS,
-    DistanceSpec,
-    charge_log,
-    dim_sum_block,
-    identity_spec,
-    log_dist_block,
-    psi_log,
-)
+from .geometry import BLOCK_ELEMENTS, dim_sum_block, identity_spec, pair_term_matrix, psi_log
 
 
 @dataclass(frozen=True)
@@ -38,9 +30,7 @@ class MarginalSummary:
 @dataclass(frozen=True)
 class DiagnosticsReport:
     psi_log: float
-    psi_tilde_log: float
     total_energy_log: float
-    max_energy_log: float
     cl2: float
     marginals: list[MarginalSummary]
     correlation: np.ndarray
@@ -51,9 +41,7 @@ class DiagnosticsReport:
     def to_dict(self) -> dict:
         return {
             "psi_log": self.psi_log,
-            "psi_tilde_log": self.psi_tilde_log,
             "total_energy_log": self.total_energy_log,
-            "max_energy_log": self.max_energy_log,
             "cl2": self.cl2,
             "marginals": [
                 {
@@ -73,38 +61,26 @@ class DiagnosticsReport:
         }
 
 
-def _pairwise_log_terms(design: Design, spec: DistanceSpec) -> np.ndarray:
-    """Upper-triangle log energies log(q_i q_j / d_ij) for unordered pairs."""
+def total_energy_log(design: Design) -> float:
+    """Log of the summed pairwise charge energy, over ordered pairs.
+
+    A pair's log energy log(q_i q_j / d_ij), with charge q = f^(-1/(2p)), is
+    ``-T_ij / (2p)`` for psi's gamma = 1 identity-metric term ``T_ij``, so the
+    largest one is ``-psi_log / (2p)``.  Coincident points make the sum
+    infinite; the +inf sentinel is returned rather than raising since the
+    value is an honest limit.
+    """
     points = np.atleast_2d(np.asarray(design.points, dtype=float))
     n, p = points.shape
     if n < 2:
         raise ConfigError("energy needs at least 2 points")
-    logq = charge_log(np.asarray(design.logf, dtype=float), p)
-    white = spec.whiten(points)
-    logd = log_dist_block(white, white, spec.s)
-    iu = np.triu_indices(n, k=1)
-    return logq[iu[0]] + logq[iu[1]] - logd[iu]
-
-
-def total_energy_log(design: Design, spec: DistanceSpec | None = None) -> float:
-    """Log of the summed pairwise charge energy, over ordered pairs.
-
-    Coincident points make the sum infinite; the +inf sentinel is returned
-    rather than raising since the value is an honest limit.
-    """
-    spec = spec or identity_spec(np.shape(design.points)[1])
-    terms = _pairwise_log_terms(design, spec)
+    terms = pair_term_matrix(points, design.logf, points, design.logf, 1.0, identity_spec(p))
+    terms = -terms[np.triu_indices(n, k=1)] / (2.0 * p)
     if np.any(np.isposinf(terms)):
         return float("inf")
     # ordered pairs count both (i,j) and (j,i)
     peak = float(np.max(terms))
     return peak + float(np.log(2.0 * np.sum(np.exp(terms - peak))))
-
-
-def max_energy_log(design: Design, spec: DistanceSpec | None = None) -> float:
-    """Log of the largest single pairwise charge energy."""
-    spec = spec or identity_spec(np.shape(design.points)[1])
-    return float(np.max(_pairwise_log_terms(design, spec)))
 
 
 def cl2_discrepancy(points: np.ndarray) -> float:
@@ -220,19 +196,15 @@ def marginals_and_correlations(
 def diagnostics_report(design: Design, bins: int | None = None) -> DiagnosticsReport:
     """Assemble the full report for a design; pure, no density evaluations.
 
-    psi is taken at gamma = 1 in the identity metric.  A design file carries
-    no metric, so ``psi_tilde_log`` repeats that value.
+    psi is taken at gamma = 1 in the identity metric: a design file carries
+    no metric.
     """
     points = np.atleast_2d(np.asarray(design.points, dtype=float))
-    spec = identity_spec(points.shape[1])
-    psi = psi_log(points, design.logf, 1.0, spec).value
     marginals, corr, degenerate = marginals_and_correlations(points, bins)
     balance, spread = probability_balance(design)
     return DiagnosticsReport(
-        psi_log=psi,
-        psi_tilde_log=psi,
-        total_energy_log=total_energy_log(design, spec),
-        max_energy_log=max_energy_log(design, spec),
+        psi_log=psi_log(points, design.logf, 1.0, identity_spec(points.shape[1])).value,
+        total_energy_log=total_energy_log(design),
         cl2=cl2_discrepancy(points) if np.all((points >= 0) & (points <= 1)) else float("nan"),
         marginals=marginals,
         correlation=corr,

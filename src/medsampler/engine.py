@@ -167,9 +167,6 @@ class StageState:
     def all_points(self) -> np.ndarray:
         return self.pts[: self.count]
 
-    def all_logf(self) -> np.ndarray:
-        return self.logf[: self.count]
-
     def add_evaluated(self, x: np.ndarray, val: float) -> None:
         self.pts[self.count] = x
         self.logf[self.count] = val

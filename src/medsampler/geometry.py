@@ -1,4 +1,4 @@
-"""Charge functions, generalized distances, and the energy-design criteria.
+"""Generalized distances and the energy-design criteria.
 
 All criterion arithmetic is carried out in log scale.  A pairwise term for
 points ``(i, j)`` at annealing level ``gamma`` is
@@ -92,11 +92,6 @@ class CriterionValue:
 
     value: float
     pair: tuple[int, int]
-
-
-def charge_log(logf: float, p: int) -> float:
-    """Log of the charge ``f(x)^{-1/(2p)}``, i.e. ``-logf / (2p)``."""
-    return -logf / (2.0 * p)
 
 
 def dist_s(u: np.ndarray, v: np.ndarray, spec: DistanceSpec) -> float:

@@ -233,23 +233,26 @@ def reference_adapt(S, u, alpha, step, target):
     return np.linalg.cholesky(S @ S.T + c * np.outer(v, v))
 
 
-def reference_followup(med, surrogate, N, seed=0, scale=None):
+def reference_followup(med, surrogate, N, seed=0, scale=None, with_logf=False):
     """The follow-up run one chain after another, one ``predict`` per step.
 
     This is the oracle ``followup_mcmc``'s lockstep rounds must match bit for
-    bit: every chain's stream, proposals, values and factor updates.
+    bit: every chain's stream, proposals, values and factor updates.  It
+    returns samples, chain ids and lengths, and with ``with_logf`` also each
+    stored state's ``current`` value (``test_digests`` unpacks the three).
     """
     points = np.atleast_2d(np.asarray(med.points, dtype=float))
     n, p = points.shape
     lengths, _ = chain_lengths(med.logf, N)
     S0 = 0.1 * np.eye(p) if scale is None else np.tril(np.asarray(scale, dtype=float))
-    pooled, ids = [], []
+    pooled, values, ids = [], [], []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         x = points[i].copy()
         current = float(predict(surrogate, x))
         S = S0.copy()
         rows = np.empty((lengths[i], p))
+        currents = np.empty(lengths[i])
         for step in range(1, lengths[i] + 1):
             u = rng.standard_normal(p)
             proposal = x + S @ u
@@ -263,17 +266,23 @@ def reference_followup(med, surrogate, N, seed=0, scale=None):
                 current = value
             S = reference_adapt(S, u, alpha, step, TARGET_ACCEPT)
             rows[step - 1] = x
+            currents[step - 1] = current
         pooled.append(rows)
+        values.append(currents)
         ids.append(np.full(lengths[i], i, dtype=int))
-    return np.vstack(pooled), np.concatenate(ids), lengths
+    out = np.vstack(pooled), np.concatenate(ids), lengths
+    return out + (np.concatenate(values),) if with_logf else out
 
 
 def assert_matches_reference(med, surrogate, N, seed=0, scale=None):
     got = followup_mcmc(med, surrogate, N=N, seed=seed, scale=scale)
-    samples, chain_ids, lengths = reference_followup(med, surrogate, N, seed, scale)
+    samples, chain_ids, lengths, logf = reference_followup(
+        med, surrogate, N, seed, scale, with_logf=True
+    )
     assert np.array_equal(got.samples, samples)
     assert np.array_equal(got.chain_ids, chain_ids)
     assert np.array_equal(got.lengths, lengths)
+    assert np.array_equal(got.logf, logf)
 
 
 def oracle_inputs(p, starts):

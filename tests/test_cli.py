@@ -8,6 +8,8 @@ import pytest
 
 from medsampler.cli import main
 from medsampler.fileio import read_design, read_ledger, read_samples
+from medsampler.geometry import identity_spec, psi_log
+from medsampler.surrogate import fit, predict
 
 
 def generate(tmp_path, name="run", extra=()):
@@ -201,6 +203,29 @@ class TestDiagnose:
         assert 0.0 <= report["truth"]["marginal_max_error"] <= 1.0
         assert report["truth"]["cl2_transformed"] > 0.0
 
+    @pytest.mark.parametrize("truth", [False, True], ids=["plain", "truth"])
+    def test_report_keys_and_psi(self, tmp_path, truth):
+        run = generate(tmp_path)
+        out = tmp_path / "diag"
+        extra = ["--truth", "--density", "banana"] if truth else []
+        assert main(["diagnose", "--design", str(run / "design.csv"), "--out", str(out)] + extra) == 0
+        report = json.loads((out / "report.json").read_text())
+        keys = {
+            "psi_log",
+            "total_energy_log",
+            "cl2",
+            "marginals",
+            "correlation",
+            "correlation_degenerate",
+            "balance_log",
+            "balance_spread",
+            "balance_note",
+        }
+        assert set(report) == (keys | {"truth"} if truth else keys)
+        df = read_design(run / "design.csv")
+        psi = psi_log(df.points, df.logf, 1.0, identity_spec(2)).value
+        assert report["psi_log"] == psi
+
     def test_truth_for_external_is_usage_error_and_closes_the_children(self, tmp_path):
         run = generate(tmp_path)
         closed = tmp_path / "closed"
@@ -248,6 +273,29 @@ class TestFollowup:
         assert (run / "ledger.csv").read_bytes() == ledger_bytes
         assert main(["followup", "--run", str(run), "--N", "150", "--seed", "3"]) == 0
         assert (run / "samples.csv").read_bytes() == first
+
+    def test_logf_is_the_one_point_prediction(self, tmp_path):
+        run = generate(tmp_path)
+        assert main(["followup", "--run", str(run), "--N", "150", "--seed", "2"]) == 0
+        ledger = read_ledger(run / "ledger.csv")
+        surrogate = fit(ledger.points(), ledger.logf_values())
+        samples, logf, _ = read_samples(run / "samples.csv")
+        assert len(samples) >= 150
+        for row, value in zip(samples, logf):
+            assert value == predict(surrogate, row)
+
+    def test_out_into_missing_directory(self, tmp_path):
+        run = generate(tmp_path)
+        out = tmp_path / "new" / "dir" / "s.csv"
+        assert main(["followup", "--run", str(run), "--N", "100", "--out", str(out)]) == 0
+        assert len(read_samples(out)[0]) >= 100
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["invalid", "list"])
+    def test_bad_manifest_is_runtime_error(self, tmp_path, capsys, text):
+        run = generate(tmp_path)
+        (run / "manifest.json").write_text(text)
+        assert main(["followup", "--run", str(run), "--N", "100"]) == 3
+        assert "manifest.json" in capsys.readouterr().err
 
     def test_missing_ledger_is_runtime_error(self, tmp_path):
         run = generate(tmp_path)

@@ -8,11 +8,9 @@ from scipy.special import gammaln
 
 from medsampler import diagnostics
 from medsampler.diagnostics import (
-    _pairwise_log_terms,
     cl2_discrepancy,
     diagnostics_report,
     marginals_and_correlations,
-    max_energy_log,
     probability_balance,
     total_energy_log,
 )
@@ -53,36 +51,18 @@ class TestEnergies:
     def test_coincident_pair_gives_infinite_energy(self):
         d = design_of([[0.3, 0.3], [0.3, 0.3], [0.9, 0.1]])
         assert total_energy_log(d) == math.inf
-        assert max_energy_log(d) == math.inf
 
     def test_single_point_rejected(self):
         with pytest.raises(ConfigError):
             total_energy_log(design_of([[0.5]]))
 
     def test_max_term_never_exceeds_total(self):
+        # the largest pair energy is -psi / (2p), one of the summed terms
         rng = np.random.default_rng(5)
         for _ in range(20):
-            d = design_of(rng.random((8, 3)), rng.normal(size=8))
-            assert max_energy_log(d) <= total_energy_log(d) + 1e-12
-
-    def test_peak_energy_pair_is_the_criterion_pair(self):
-        # at full strength with the plain metric, the worst energy pair and
-        # the criterion's minimizing pair coincide
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            pts = rng.random((9, 2))
-            logf = rng.normal(size=9)
-            d = design_of(pts, logf)
-            spec = identity_spec(2, s=2.0)
-            terms = _pairwise_log_terms(d, spec)
-            iu = np.triu_indices(9, k=1)
-            flat = int(np.argmax(terms))
-            energy_pair = (iu[0][flat], iu[1][flat])
-            crit = psi_log(pts, logf, 1.0, spec)
-            assert energy_pair == crit.pair
-            assert max_energy_log(d, spec) == pytest.approx(
-                -crit.value / 4.0, rel=1e-10
-            )
+            pts, logf = rng.random((8, 3)), rng.normal(size=8)
+            peak = -psi_log(pts, logf, 1.0, identity_spec(3)).value / 6.0
+            assert peak <= total_energy_log(design_of(pts, logf)) + 1e-12
 
 
 # ---------------------------------------------------------------- discrepancy
@@ -309,7 +289,6 @@ class TestReport:
         rng = np.random.default_rng(6)
         d = design_of(rng.random((15, 2)), rng.normal(size=15))
         rep = diagnostics_report(d, bins=5)
-        assert rep.max_energy_log <= rep.total_energy_log
         assert rep.cl2 >= 0.0
         doc = rep.to_dict()
         assert set(doc) >= {

@@ -12,7 +12,6 @@ from medsampler.errors import ConfigError
 from medsampler.geometry import (
     S_ZERO_THRESHOLD,
     CriterionValue,
-    charge_log,
     dim_sum_block,
     dist_s,
     identity_spec,
@@ -267,10 +266,6 @@ class TestWhitening:
 
 
 class TestPairTerm:
-    def test_charge_log(self):
-        assert charge_log(-4.0, 2) == pytest.approx(1.0)
-        assert charge_log(0.0, 7) == 0.0
-
     def test_coincident_points_give_neg_inf(self):
         spec = identity_spec(2)
         x = np.array([0.4, 0.6])
