@@ -264,6 +264,13 @@ def _ks_uniform(u: np.ndarray) -> float:
 
 def cmd_diagnose(args) -> int:
     df = read_design(args.design)
+    # CL2 and the (0, 1) marginal histograms are defined on the unit cube only
+    outside = np.flatnonzero(~np.all((df.points >= 0.0) & (df.points <= 1.0), axis=1))
+    if len(outside):
+        i = int(outside[0])
+        raise FileFormatError(
+            f"{args.design} line {i + 2}: point {df.points[i].tolist()} lies outside the unit cube"
+        )
     design = Design(
         points=df.points,
         logf=df.logf,

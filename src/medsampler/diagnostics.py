@@ -99,19 +99,29 @@ def cl2_discrepancy(points: np.ndarray) -> float:
         raise ConfigError("points must lie in the unit cube")
     c = np.abs(points - 0.5)
     term2 = np.prod(1.0 + 0.5 * c - 0.5 * c**2, axis=1).sum() * (2.0 / n)
-    # cross-term products a block of rows at a time; one .sum() over the
-    # (n, n) matrix keeps the result bit-identical to the n x n x p form
+    # The cross-term factor of dimension l is ((1 + h_i) + h_j) - 0.5|x_il - x_jl|
+    # with h = c/2, the tensor form's own arithmetic.  Built a block of rows
+    # at a time and multiplied into prods from 1.0 in dimension order, it
+    # gives np.prod's left-to-right product over the axis; with one .sum()
+    # over the (n, n) matrix the result is bit-identical to the n x n x p form.
+    x = np.ascontiguousarray(points.T)
+    h = 0.5 * c.T
+    one_h = 1.0 + h
     prods = np.empty((n, n))
     rows = max(1, BLOCK_ELEMENTS // (n * p))
+    dist = np.empty((min(rows, n), n))
+    factor = np.empty_like(dist)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        cross = (
-            1.0
-            + 0.5 * c[lo:hi, None, :]
-            + 0.5 * c[None, :, :]
-            - 0.5 * np.abs(points[lo:hi, None, :] - points[None, :, :])
-        )
-        np.prod(cross, axis=2, out=prods[lo:hi])
+        block, d, f = prods[lo:hi], dist[: hi - lo], factor[: hi - lo]
+        block.fill(1.0)
+        for l in range(p):
+            np.subtract(x[l, lo:hi, None], x[l, None, :], out=d)
+            np.abs(d, out=d)
+            d *= 0.5
+            np.add(one_h[l, lo:hi, None], h[l, None, :], out=f)
+            f -= d
+            block *= f
     term3 = prods.sum() / (n * n)
     sq = (13.0 / 12.0) ** p - term2 + term3
     return math.sqrt(max(sq, 0.0))

@@ -327,6 +327,19 @@ def _inflated_region(region: np.ndarray) -> np.ndarray:
     return np.vstack([region, lo, hi])
 
 
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(d2, kind="stable")[:k]`` without sorting all of ``d2``.
+
+    Every value at or below the k-th smallest is kept and stably sorted, in
+    index order, so ties at the k-th value keep their first-index order.
+    """
+    if k >= len(d2):
+        return np.argsort(d2, kind="stable")
+    kth = d2[np.argpartition(d2, k - 1)[k - 1]]
+    idx = np.flatnonzero(d2 <= kth)
+    return idx[np.argsort(d2[idx], kind="stable")[:k]]
+
+
 def propose_new_points(
     design: Design, state: StageState, gamma_next: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +367,7 @@ def propose_new_points(
         )
         wc = state.spec_white.whiten(center)
         d2 = ((state.white[: state.count] - wc[None, :]) ** 2).sum(axis=1)
-        nearest = np.argsort(d2, kind="stable")[: min(n, state.count)]
+        nearest = _nearest(d2, n)
         region = state.pts[nearest]
         train = nearest[: min(len(nearest), TRAINING_CAP)]
 

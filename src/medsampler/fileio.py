@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,9 +33,25 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _null_non_finite(obj):
+    """``obj`` with every non-finite float replaced by None; finite ones kept."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _null_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(value) for value in obj]
+    return obj
+
+
 def write_json(path: str | Path, obj) -> None:
-    """Stable JSON: sorted keys, two-space indent, trailing newline."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Stable, strict JSON: sorted keys, two-space indent, trailing newline.
+
+    Non-finite floats (an infinite energy, say) are written as ``null``, which
+    every JSON parser reads; finite values keep ``json.dumps``'s bytes.
+    """
+    text = json.dumps(_null_non_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def _coord_names(p: int) -> list[str]:

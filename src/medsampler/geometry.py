@@ -33,8 +33,10 @@ S_ZERO_THRESHOLD = 1e-8
 # Sentinel floor for log densities; values at or below this mean "zero density".
 LOGF_FLOOR = -1e10
 
-# Values in one (rows, j, p) block of a row-blocked kernel (8 MB of float64):
-# dim_sum_block here and the CL2 cross terms in diagnostics.
+# Row budget of the row-blocked kernels, rows * j * p <= BLOCK_ELEMENTS (or one
+# row).  dim_sum_block here holds one (rows, j, p) block, at most 8 MB of
+# float64.  The CL2 cross term in diagnostics holds two (rows, n) factor
+# buffers, each at most BLOCK_ELEMENTS / p values, next to its (n, n) products.
 BLOCK_ELEMENTS = 1 << 20
 
 

@@ -254,6 +254,38 @@ class TestDiagnose:
         err = capsys.readouterr().err
         assert "line 2" in err and "x2" in err
 
+    @staticmethod
+    def strict_json(path):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    def test_coincident_points_give_strict_json(self, tmp_path):
+        design = tmp_path / "design.csv"
+        design.write_text("x1,x2,logf,stage\n0.2,0.3,0.0,1\n0.2,0.3,0.0,1\n0.7,0.6,-1.0,1\n")
+        out = tmp_path / "d"
+        assert main(["diagnose", "--design", str(design), "--out", str(out)]) == 0
+        report = self.strict_json(out / "report.json")
+        assert report["psi_log"] is None
+        assert report["total_energy_log"] is None
+        assert report["balance_spread"] is None
+        assert report["balance_log"][:2] == [None, None]
+        assert report["cl2"] > 0.0
+
+    @pytest.mark.parametrize("cell", ["1.0000000000000002", "-0.5", "nan"])
+    def test_point_outside_the_cube_is_runtime_error(self, tmp_path, capsys, cell):
+        design = tmp_path / "design.csv"
+        design.write_text(f"x1,x2,logf,stage\n0.0,1.0,0.0,1\n0.5,0.5,0.0,1\n0.25,{cell},0.0,1\n")
+        out = tmp_path / "d"
+        assert main(["diagnose", "--design", str(design), "--out", str(out)]) == 3
+        assert "line 4" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        # the cube's faces are inside it
+        design.write_text("x1,x2,logf,stage\n0.0,1.0,0.0,1\n0.5,0.5,0.0,1\n1.0,0.0,0.0,1\n")
+        assert main(["diagnose", "--design", str(design), "--out", str(out)]) == 0
+        assert self.strict_json(out / "report.json")["cl2"] > 0.0
+
 
 class TestFollowup:
     def test_samples_written_with_budgeted_count(self, tmp_path):

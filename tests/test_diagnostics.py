@@ -1,6 +1,7 @@
 """Tests for the point-set quality measures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,14 +156,36 @@ class TestCL2:
     @pytest.mark.parametrize("n", [1, 4, 12, 13])
     def test_row_blocks_match_the_whole_tensor(self, monkeypatch, n):
         rng = np.random.default_rng(n)
-        for p in (1, 3, 10):
-            pts = rng.random((n, p))
-            want = cl2_reference(pts)
-            assert cl2_discrepancy(pts) == want
-            for budget in (1, n * p, 3 * n * p, 4 * n * p):
-                monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", budget)
-                assert cl2_discrepancy(pts) == want, f"p={p} budget={budget}"
-            monkeypatch.undo()
+        for p in (1, 3, 10, 8, 30):
+            drawn = rng.random((n, p))
+            # the same points with every other coordinate snapped to exactly
+            # 0, 0.5 or 1 and the last point a repeat of the first
+            snapped = drawn.copy()
+            snapped[:, ::2] = np.round(2.0 * snapped[:, ::2]) / 2.0
+            snapped[-1] = snapped[0]
+            for pts in (drawn, snapped):
+                want = cl2_reference(pts)
+                assert cl2_discrepancy(pts) == want
+                for budget in (1, n * p, 3 * n * p, 4 * n * p):
+                    monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", budget)
+                    assert cl2_discrepancy(pts) == want, f"p={p} budget={budget}"
+                monkeypatch.undo()
+
+    def test_peak_memory_is_the_product_matrix_and_two_row_blocks(self):
+        """The cross term holds the (n, n) products and two (rows, n) factor
+        buffers of at most BLOCK_ELEMENTS / p values each.  The slack covers
+        the (n, p) working arrays and numpy's per-call iterator buffers; the
+        (rows, n, p) tensor form peaked at 12.6 (n, n) matrices here."""
+        n, p = 600, 10
+        pts = np.random.default_rng(9).random((n, p))
+        tracemalloc.start()
+        try:
+            cl2_discrepancy(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 8 * 8 * n * p + 256 * 1024
+        assert peak <= 8 * n * n + 16 * diagnostics.BLOCK_ELEMENTS // p + slack
 
 
 # ---------------------------------------------------------------- balance

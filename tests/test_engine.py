@@ -13,6 +13,7 @@ from medsampler.engine import (
     RunConfig,
     StageState,
     _argmax_min_term,
+    _nearest,
     adaptive_s,
     default_K,
     default_n,
@@ -498,6 +499,29 @@ def make_state(model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None)
 def fixed_pool(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return CandidatePool(points=pts, provenance=tuple(["local-fill"] * len(pts)))
+
+
+class TestNearest:
+    """Pass 1's region is the first n of a stable argsort of the distances."""
+
+    @pytest.mark.parametrize(
+        "d2",
+        [
+            np.array([3.0, 1.0, 2.0, 1.0, 2.0, 2.0, 0.0, 2.0]),
+            np.full(9, 0.25),
+            np.random.default_rng(0).integers(0, 4, 200).astype(float),
+            np.random.default_rng(1).random(1937),
+        ],
+        ids=["ties", "all-equal", "coarse-grid", "distinct"],
+    )
+    def test_equals_the_stable_argsort(self, d2):
+        want = np.argsort(d2, kind="stable")
+        for k in sorted({1, 2, 3, len(d2) // 2, len(d2) - 1, len(d2), len(d2) + 5}):
+            assert np.array_equal(_nearest(d2, k), want[:k]), f"k={k}"
+
+    def test_ties_at_the_kth_value_keep_index_order(self):
+        d2 = np.array([5.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        assert _nearest(d2, 3).tolist() == [3, 1, 2]
 
 
 class TestProposeNewPoints:

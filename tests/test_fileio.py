@@ -1,5 +1,7 @@
 """Round-trip and error-reporting tests for the CSV/JSON writers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,22 @@ class TestJson:
         assert text == p2.read_text()
         assert text.index('"alpha"') < text.index('"mid"') < text.index('"zeta"')
         assert text.endswith("\n")
+
+    def test_non_finite_floats_are_null(self, tmp_path):
+        obj = {
+            "inf": float("inf"),
+            "nested": [np.float64(-np.inf), {"nan": float("nan")}, (1.0, np.nan)],
+            "finite": [np.float64(0.1), -0.0, 5e-324, 1e308, 3, True, None, "x"],
+        }
+        path = tmp_path / "r.json"
+        write_json(path, obj)
+        text = path.read_text()
+        assert text == json.dumps(
+            {
+                "inf": None,
+                "nested": [None, {"nan": None}, [1.0, None]],
+                "finite": [0.1, -0.0, 5e-324, 1e308, 3, True, None, "x"],
+            },
+            indent=2,
+            sort_keys=True,
+        ) + "\n"

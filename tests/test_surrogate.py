@@ -157,6 +157,48 @@ class TestFitConstruction:
         assert peak <= 2.5 * k * k * 8
 
 
+class TestGaussian:
+    """``_gaussian`` skips ``exp``'s underflow path without changing a bit."""
+
+    @staticmethod
+    def assert_bits(d2, theta):
+        want = np.exp(-theta * d2)
+        got = sg._gaussian(d2.copy(), theta)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("theta", [1.0, 0.37, 13436.0])
+    def test_grid_across_the_cutoff_and_the_subnormal_band(self, theta):
+        # exponents from -760 to -700 in steps of 3e-4, plus the neighbours
+        # of the cutoff and of exp's last nonzero result
+        exponents = np.concatenate(
+            [
+                np.linspace(-760.0, -700.0, 200_001),
+                [np.nextafter(sg.EXP_ZERO_BELOW, -np.inf), sg.EXP_ZERO_BELOW],
+                [np.nextafter(sg.EXP_ZERO_BELOW, 0.0), -745.1332, -745.13321910194122],
+                [0.0, -1.0, -np.inf],
+            ]
+        )
+        self.assert_bits((-exponents / theta)[None, :], theta)
+
+    def test_all_underflow_block(self):
+        rng = np.random.default_rng(4)
+        self.assert_bits(800.0 + rng.random((50, 40)) * 1e6, 1.0)
+        self.assert_bits(np.full((3, 5), np.inf), 2.0)
+
+    @pytest.mark.parametrize("share", [0.0, 1e-3, sg.EXP_MASK_SHARE, 0.5])
+    def test_blocks_on_both_sides_of_the_mask_share(self, share):
+        # exponents in (-760, 0), the first `share` of them below the cutoff
+        rng = np.random.default_rng(5)
+        d2 = rng.random(4096) * 740.0
+        k = int(share * d2.size)
+        d2[:k] = 746.0 + rng.random(k) * 14.0
+        self.assert_bits(rng.permutation(d2).reshape(64, 64), 1.0)
+
+    def test_nan_entries_pass_through(self):
+        d2 = np.array([[np.nan, 0.5, 1e9], [2.0, np.nan, 746.5]])
+        self.assert_bits(d2, 1.0)
+
+
 class TestPredict:
     def test_midpoint_of_symmetric_pair(self):
         x = np.array([[0.3, 0.5], [0.7, 0.5]])
