@@ -28,7 +28,6 @@ class ChainSpec:
     start: np.ndarray
     length: int
     scale: np.ndarray | None = None
-    target_accept: float = TARGET_ACCEPT
     seed: int = 0
 
 
@@ -47,6 +46,22 @@ class FollowupResult:
     logf: np.ndarray
 
 
+def _proposal_factor(scale: np.ndarray | None, p: int) -> np.ndarray:
+    """Lower triangle of ``scale``, or 0.1 I when it is None.
+
+    The factor must be p x p, finite, and nonsingular (no zero on its diagonal).
+    """
+    if scale is None:
+        return 0.1 * np.eye(p)
+    scale = np.asarray(scale, dtype=float)
+    if scale.shape != (p, p):
+        raise ConfigError(f"proposal scale has shape {scale.shape}, expected ({p}, {p})")
+    S = np.tril(scale)
+    if not np.all(np.isfinite(S)) or np.any(np.diag(S) == 0.0):
+        raise ConfigError("proposal scale must be a finite, nonsingular triangular matrix")
+    return S
+
+
 def _check_spec(spec: ChainSpec, p: int) -> np.ndarray:
     start = np.asarray(spec.start, dtype=float).ravel()
     if start.shape != (p,):
@@ -55,12 +70,7 @@ def _check_spec(spec: ChainSpec, p: int) -> np.ndarray:
         raise ConfigError("start point must lie in the unit cube")
     if spec.length < 1:
         raise ConfigError(f"chain length must be >= 1, got {spec.length}")
-    if spec.scale is None:
-        return 0.1 * np.eye(p)
-    scale = np.asarray(spec.scale, dtype=float)
-    if scale.shape != (p, p) or np.any(np.diag(scale) == 0.0):
-        raise ConfigError("proposal scale must be a nonsingular p x p triangular matrix")
-    return np.tril(scale)
+    return _proposal_factor(spec.scale, p)
 
 
 def _adapt(
@@ -131,7 +141,7 @@ def adaptive_metropolis(
             x = proposal
             current = logf
             accepted += 1
-        S = _adapt(S, u, v, np.array([alpha]), step, spec.target_accept)
+        S = _adapt(S, u, v, np.array([alpha]), step, TARGET_ACCEPT)
         chain.append(x.copy())
     return MetropolisResult(
         chain=np.array(chain).reshape(len(chain), p),
@@ -177,9 +187,7 @@ def followup_mcmc(
     points = np.atleast_2d(np.asarray(med.points, dtype=float))
     n, p = points.shape
     lengths, _ = chain_lengths(med.logf, N)
-    S0 = 0.1 * np.eye(p) if scale is None else np.tril(np.asarray(scale, dtype=float))
-    if np.any(np.diag(S0) == 0.0):
-        raise ConfigError("proposal scale must be nonsingular")
+    S0 = _proposal_factor(scale, p)
 
     # Chain state in longest-first order, so a round's running chains are a prefix.
     order = np.argsort(-lengths, kind="stable")

@@ -95,7 +95,7 @@ def cl2_discrepancy(points: np.ndarray) -> float:
     n, p = points.shape
     if n < 1:
         raise ConfigError("discrepancy of an empty point set")
-    if np.any(points < 0.0) or np.any(points > 1.0):
+    if not np.all((points >= 0.0) & (points <= 1.0)):
         raise ConfigError("points must lie in the unit cube")
     c = np.abs(points - 0.5)
     term2 = np.prod(1.0 + 0.5 * c - 0.5 * c**2, axis=1).sum() * (2.0 / n)

@@ -34,11 +34,10 @@ from .geometry import (
 )
 from .qmc import (
     DELTA_SEPARATION,
+    N_COMBOS,
     LatticeRule,
-    _cbc_vector,
     cbc_lattice,
     halton_block,
-    is_prime,
     largest_prime_below,
     local_candidates,
 )
@@ -104,10 +103,7 @@ class RunConfig:
     n: int | None = None
     K: int | None = None
     m: int | None = None
-    n_combos: int = 5
-    delta: float = DELTA_SEPARATION
     theta: float | None = None
-    jitter: float = JITTER_START
     s_mode: str = "adaptive"
     s_value: float = 2.0
     s_quantile: float | None = None
@@ -154,7 +150,6 @@ class StageState:
     model: DensityModel
     config: RunConfig
     ledger: EvaluationLedger
-    seed: int
     stage_next: int
     m: int
     s: float
@@ -363,7 +358,7 @@ def propose_new_points(
     for j in range(n):
         center = design.points[j]
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=state.seed, spawn_key=(state.stage_next, j))
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.stage_next, j))
         )
         wc = state.spec_white.whiten(center)
         d2 = ((state.white[: state.count] - wc[None, :]) ** 2).sum(axis=1)
@@ -373,28 +368,18 @@ def propose_new_points(
 
         existing = state.all_points()
         try:
-            pool = local_candidates(
-                center, region, state.m, cfg.n_combos, existing, rng, delta=cfg.delta
-            )
+            pool = local_candidates(center, region, state.m, N_COMBOS, existing, rng)
         except CandidatePoolError:
             pool = local_candidates(
-                center,
-                _inflated_region(region),
-                state.m,
-                cfg.n_combos,
-                existing,
-                rng,
-                delta=cfg.delta,
+                center, _inflated_region(region), state.m, N_COMBOS, existing, rng
             )
 
-        surrogate = fit(
-            state.pts[train], state.logf[train], cfg.theta, jitter_start=cfg.jitter
-        )
-        yhat = np.atleast_1d(predict(surrogate, pool.points))
+        surrogate = fit(state.pts[train], state.logf[train], cfg.theta)
+        yhat = np.atleast_1d(predict(surrogate, pool))
 
         size = n + j
         best, _ = _argmax_min_term(
-            pool.points,
+            pool,
             gamma_next * yhat,
             cond[:size],
             gamma_next * cond_logf[:size],
@@ -402,7 +387,7 @@ def propose_new_points(
             center,
         )
 
-        x_new = pool.points[best]
+        x_new = pool[best]
         val = eval_logf(state.model, x_new, state.ledger)
         state.add_evaluated(x_new, val)
         cond[size] = x_new
@@ -456,12 +441,7 @@ def _initial_lattice(n: int, p: int, seed: int) -> LatticeRule:
     shift_seed = int(
         np.random.SeedSequence(entropy=seed, spawn_key=(1, 0)).generate_state(1)[0]
     )
-    if is_prime(n):
-        return cbc_lattice(n, p, seed=shift_seed)
-    # Composite sizes keep the coprime component search; the public
-    # constructor's primality contract stays strict.
-    shift = np.random.default_rng(shift_seed).random(p)
-    return LatticeRule(n=n, z=_cbc_vector(n, p), shift=shift)
+    return cbc_lattice(n, p, seed=shift_seed)
 
 
 def _stage_metric(
@@ -560,7 +540,6 @@ def run(
             model=model,
             config=config,
             ledger=ledger,
-            seed=config.seed,
             stage_next=k_next,
             m=m,
             s=s,
@@ -590,7 +569,16 @@ def run(
         K=K,
         seed=config.seed,
         budget=used,
-        config={**asdict(config), "n": n, "K": K, "m": m},
+        # the pool and surrogate constants are echoed with the run's settings
+        config={
+            **asdict(config),
+            "n": n,
+            "K": K,
+            "m": m,
+            "n_combos": N_COMBOS,
+            "delta": DELTA_SEPARATION,
+            "jitter": JITTER_START,
+        },
         gammas=[float(g) for g in schedule.gammas],
         stages=stages,
         theta_sensitivity=_theta_sensitivity_metric(design, config),

@@ -23,8 +23,8 @@ from .errors import CandidatePoolError, ConfigError
 # Minimum max-norm separation between a fresh candidate and any evaluated point.
 DELTA_SEPARATION = 1e-6
 
-# Pool-internal dedup threshold (max-norm): closer pairs count as the same point.
-DEDUP_TOLERANCE = 1e-12
+# Linear-combination candidates per local pool.
+N_COMBOS = 5
 
 
 def is_prime(n: int) -> bool:
@@ -110,12 +110,14 @@ def _cbc_vector(n: int, p: int) -> np.ndarray:
 def cbc_lattice(n: int, p: int, seed: int | None = None) -> LatticeRule:
     """Rank-1 lattice rule with a component-by-component generating vector.
 
-    ``n`` must be prime.  When ``seed`` is given, a random shift in [0,1)^p
-    is applied (Cranley-Patterson style); otherwise the lattice is unshifted.
+    ``n`` may be any integer >= 2; for composite ``n`` the components are
+    searched among the residues coprime with ``n`` (see ``_cbc_vector``).
+    When ``seed`` is given, a random shift in [0,1)^p is applied
+    (Cranley-Patterson style); otherwise the lattice is unshifted.
     Deterministic given (n, p, seed).
     """
-    if not is_prime(n):
-        raise ConfigError(f"lattice size must be prime, got {n}")
+    if n < 2:
+        raise ConfigError(f"lattice size must be >= 2, got {n}")
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")
     z = _cbc_vector(n, p)
@@ -161,47 +163,6 @@ def _halton_cached(start: int, count: int, p: int) -> np.ndarray:
     return block
 
 
-@dataclass(frozen=True)
-class CandidatePool:
-    """Deduplicated unit-cube candidates with a provenance tag per point.
-
-    Tags are "local-fill" or "linear-combination".
-    """
-
-    points: np.ndarray
-    provenance: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.provenance)
-
-
-def _dedup_keep_first(points: np.ndarray) -> np.ndarray:
-    """Indices to keep so no two survivors are within DEDUP_TOLERANCE (max-norm).
-
-    Sorting on the first coordinate confines the pairwise check to points that
-    nearly share it, which is the common case's fast exit: distinct stream
-    points never collide, only exact duplicates from clipping do.
-    """
-    n = len(points)
-    order = np.argsort(points[:, 0], kind="stable")
-    x0 = points[order, 0]
-    if np.all(np.diff(x0) >= DEDUP_TOLERANCE):
-        return np.arange(n)
-    pairs = []
-    for a in range(n - 1):
-        b = a + 1
-        while b < n and x0[b] - x0[a] < DEDUP_TOLERANCE:
-            i, j = order[a], order[b]
-            if np.max(np.abs(points[i] - points[j])) < DEDUP_TOLERANCE:
-                pairs.append((min(i, j), max(i, j)))
-            b += 1
-    dropped: set[int] = set()
-    for i, j in sorted(pairs):
-        if i not in dropped:
-            dropped.add(j)
-    return np.array([i for i in range(n) if i not in dropped], dtype=int)
-
-
 def _too_close(points: np.ndarray, reference: np.ndarray, delta: float) -> np.ndarray:
     """Boolean mask of rows of ``points`` within max-norm ``delta`` of ``reference``.
 
@@ -231,18 +192,21 @@ def local_candidates(
     existing: np.ndarray,
     rng: np.random.Generator,
     delta: float = DELTA_SEPARATION,
-) -> CandidatePool:
-    """Candidate set for one local region: space-filling fill plus combos.
+) -> np.ndarray:
+    """Candidate pool for one local region: the (rows, p) array of ``m`` fills
+    followed by the kept combos.
 
     ``region`` is the neighborhood point set whose bounding box is filled with
     ``m`` points from a randomly shifted Halton stream, keeping only points at
-    max-norm distance >= DELTA_SEPARATION from every row of ``existing``.
+    max-norm distance >= ``delta`` from every row of ``existing``.
     Degenerate box dimensions are inflated by the same threshold first.
 
     ``n_combos`` extra points are linear combinations w*a + (1-w)*b of the two
     region points nearest the center (the center itself excluded), with w
     uniform on [-0.5, 1.5] and the result clipped to the unit cube.  Combos
-    too close to an evaluated point are dropped, and the pool is deduplicated.
+    too close to an evaluated point are dropped.  Rows are not deduplicated:
+    copies of one row share its coordinates, so whichever copy wins, the
+    stage evaluates the same point.
     """
     center = np.asarray(center, dtype=float)
     region = np.atleast_2d(np.asarray(region, dtype=float))
@@ -296,12 +260,4 @@ def local_candidates(
         raw = np.clip(w[:, None] * a[None, :] + (1.0 - w)[:, None] * b[None, :], 0.0, 1.0)
         combo_pts = raw[~_too_close(raw, existing, delta)]
 
-    points = np.vstack([fill_pts, combo_pts])
-    keep = _dedup_keep_first(points)
-    # keep is ascending, so the kept fills come first
-    fills_kept = int(np.searchsorted(keep, m))
-    return CandidatePool(
-        points=points[keep],
-        provenance=("local-fill",) * fills_kept
-        + ("linear-combination",) * (len(keep) - fills_kept),
-    )
+    return np.vstack([fill_pts, combo_pts])

@@ -222,6 +222,27 @@ class TestFollowup:
             followup_mcmc(med, surrogate, N=100, scale=np.zeros((2, 2)))
 
 
+BAD_SCALES = {
+    "wrong-shape": 0.1 * np.eye(3),
+    "zero-diagonal": np.diag([0.1, 0.0]),
+    "nan-diagonal": np.diag([np.nan, 0.1]),
+    "nan-below-diagonal": np.array([[0.1, 0.0], [np.nan, 0.1]]),
+    "inf-below-diagonal": np.array([[0.1, 0.0], [np.inf, 0.1]]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SCALES))
+@pytest.mark.parametrize("entry", ["adaptive_metropolis", "followup_mcmc"])
+def test_bad_proposal_scale_rejected(entry, name):
+    # p = 2 at both entry points; a NaN factor would leave every chain at its start
+    with pytest.raises(ConfigError):
+        if entry == "adaptive_metropolis":
+            run_chain(make_uniform(2), [0.5, 0.5], 10, scale=BAD_SCALES[name])
+        else:
+            med, surrogate = make_followup_inputs()
+            followup_mcmc(med, surrogate, N=100, scale=BAD_SCALES[name])
+
+
 def reference_adapt(S, u, alpha, step, target):
     """One chain's rank-1 proposal-factor update, one matrix at a time."""
     norm2 = float(u @ u)

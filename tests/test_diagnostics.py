@@ -145,6 +145,12 @@ class TestCL2:
         with pytest.raises(ConfigError):
             cl2_discrepancy(np.array([[1.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails every comparison, so the cube check must ask for membership
+        with pytest.raises(ConfigError):
+            cl2_discrepancy(np.array([[bad, 0.5], [0.2, 0.3]]))
+
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for n in (1, 5, 40):

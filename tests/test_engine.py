@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from medsampler.density import EvaluationLedger, make_ar1_normal, make_banana, make_uniform
+from medsampler.density import (
+    EvaluationLedger,
+    eval_batch,
+    make_ar1_normal,
+    make_banana,
+    make_uniform,
+)
 from medsampler.engine import (
     AnnealSchedule,
     Design,
@@ -24,7 +30,6 @@ from medsampler.engine import (
 )
 from medsampler.errors import CandidatePoolError, ConfigError, DensityProtocolError
 from medsampler.geometry import LOGF_FLOOR, identity_spec, log_dist_block, psi_log
-from medsampler.qmc import CandidatePool
 
 
 # ---------------------------------------------------------------- defaults
@@ -484,7 +489,6 @@ def make_state(model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None)
         model=model,
         config=cfg,
         ledger=ledger,
-        seed=cfg.seed,
         stage_next=stage_next,
         m=m,
         s=s,
@@ -497,8 +501,7 @@ def make_state(model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None)
 
 
 def fixed_pool(points):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return CandidatePool(points=pts, provenance=tuple(["local-fill"] * len(pts)))
+    return np.atleast_2d(np.asarray(points, dtype=float))
 
 
 class TestNearest:
@@ -599,6 +602,35 @@ class TestProposeNewPoints:
         assert np.array_equal(new_pts[0], a)
         assert np.array_equal(new_pts[1], b)
         assert ledger.count == 2
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["a-first", "b-first"])
+    def test_repeated_pool_rows_leave_the_same_ledger(self, monkeypatch, swap):
+        # pools are not deduplicated: copies of a row share its coordinates,
+        # so each design point evaluates what the pool without them gives
+        model = make_banana()
+        a, b = [0.3, 0.62], [0.7, 0.45]
+        if swap:
+            a, b = b, a
+        points = np.array([[0.45, 0.5], [0.55, 0.55]])
+        logf = eval_batch(model, points, EvaluationLedger())
+        design = Design(points=points, logf=logf, stage=1, gamma=0.0)
+
+        def evaluated(pool):
+            ledger = EvaluationLedger()
+            state = make_state(model, ledger, points, logf)
+            monkeypatch.setattr(
+                "medsampler.engine.local_candidates", lambda *a_, **k: fixed_pool(pool)
+            )
+            propose_new_points(design, state, gamma_next=1.0)
+            return ledger.points(), ledger.logf_values()
+
+        want_x, want_logf = evaluated([a, b])
+        # the two design points take the two distinct rows
+        assert {tuple(x) for x in want_x} == {tuple(a), tuple(b)}
+        for pool in ([a, b, a], [a, a, b]):
+            got_x, got_logf = evaluated(pool)
+            assert np.array_equal(got_x, want_x)
+            assert np.array_equal(got_logf, want_logf)
 
     def test_empty_pool_retries_with_inflated_region_then_fails(self, monkeypatch):
         model = make_uniform(2)

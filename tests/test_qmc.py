@@ -6,11 +6,9 @@ import pytest
 import medsampler.qmc as qmc
 from medsampler.errors import CandidatePoolError, ConfigError
 from medsampler.qmc import (
-    DEDUP_TOLERANCE,
     DELTA_SEPARATION,
     LatticeRule,
     _cbc_vector,
-    _dedup_keep_first,
     _too_close,
     cbc_lattice,
     halton_block,
@@ -91,9 +89,13 @@ class TestCbcLattice:
         assert np.all((a.shift >= 0) & (a.shift < 1))
         assert np.all((a.points() >= 0) & (a.points() < 1))
 
-    def test_rejects_composite_n(self):
+    def test_accepts_composite_n_rejects_below_two(self):
+        rule = cbc_lattice(25, 3)
+        want = LatticeRule(25, _cbc_vector(25, 3))
+        np.testing.assert_array_equal(rule.z, want.z)
+        np.testing.assert_array_equal(rule.points(), want.points())
         with pytest.raises(ConfigError):
-            cbc_lattice(9, 2)
+            cbc_lattice(1, 2)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(cbc_lattice(31, 6).z, cbc_lattice(31, 6).z)
@@ -144,17 +146,26 @@ class TestLocalCandidates:
             existing=region,
             rng=np.random.default_rng(0),
         )
-        fills = pool.points[np.array(pool.provenance) == "local-fill"]
-        assert len(fills) == 40
+        assert pool.shape == (40, 2)
         lo, hi = region.min(axis=0), region.max(axis=0)
-        assert np.all(fills >= lo - 1e-12) and np.all(fills <= hi + 1e-12)
+        assert np.all(pool >= lo - 1e-12) and np.all(pool <= hi + 1e-12)
+
+    def test_fills_come_first(self):
+        # the fills take the rng's first draw, so a pool without combos is
+        # the fill block of one with them
+        region = self.region()
+        m = 30
+        pool = local_candidates(region[1], region, m, 5, region, np.random.default_rng(9))
+        fills = local_candidates(region[1], region, m, 0, region, np.random.default_rng(9))
+        assert len(pool) > m
+        np.testing.assert_array_equal(pool[:m], fills)
 
     def test_separation_from_existing(self):
         region = self.region()
         rng = np.random.default_rng(1)
         existing = np.vstack([region, rng.uniform(0.4, 0.6, size=(50, 2))])
         pool = local_candidates(region[1], region, 60, 5, existing, np.random.default_rng(2))
-        gaps = np.abs(pool.points[:, None, :] - existing[None, :, :]).max(axis=2)
+        gaps = np.abs(pool[:, None, :] - existing[None, :, :]).max(axis=2)
         assert gaps.min() >= DELTA_SEPARATION
 
     def test_combos_replay_rng(self):
@@ -169,7 +180,7 @@ class TestLocalCandidates:
         order = np.argsort(np.sum((others - center) ** 2, axis=1))
         a, b = others[order[0]], others[order[1]]
         want = np.clip(w[:, None] * a + (1 - w)[:, None] * b, 0.0, 1.0)
-        combos = pool.points[np.array(pool.provenance) == "linear-combination"]
+        combos = pool[10:]
         kept = [
             row for row in want
             if np.abs(row - region).max(axis=1).min() >= DELTA_SEPARATION
@@ -181,7 +192,7 @@ class TestLocalCandidates:
         region = np.array([[0.0, 0.0], [1.0, 1.0], [0.02, 0.01]])
         center = region[2]
         pool = local_candidates(center, region, 5, 50, region, np.random.default_rng(4))
-        combos = pool.points[np.array(pool.provenance) == "linear-combination"]
+        combos = pool[5:]
         # All combos sit on the clipped diagonal segment.
         np.testing.assert_allclose(combos[:, 0], combos[:, 1], atol=1e-12)
         assert np.all((combos >= 0.0) & (combos <= 1.0))
@@ -191,33 +202,20 @@ class TestLocalCandidates:
         pool = local_candidates(
             region[0], region, 8, 0, np.zeros((0, 2)), np.random.default_rng(5)
         )
-        assert len(pool.points) == 8
-        assert np.all(np.abs(pool.points - 0.5) <= DELTA_SEPARATION + 1e-15)
+        assert len(pool) == 8
+        assert np.all(np.abs(pool - 0.5) <= DELTA_SEPARATION + 1e-15)
 
     def test_deterministic_given_seed(self):
         region = self.region()
         a = local_candidates(region[1], region, 20, 3, region, np.random.default_rng(6))
         b = local_candidates(region[1], region, 20, 3, region, np.random.default_rng(6))
-        np.testing.assert_array_equal(a.points, b.points)
-        assert a.provenance == b.provenance
+        np.testing.assert_array_equal(a, b)
 
     def test_unplaceable_pool_raises(self):
         region = np.array([[0.5]])
         existing = np.array([[0.5]])
         with pytest.raises(CandidatePoolError):
             local_candidates(region[0], region, 5, 0, existing, np.random.default_rng(7))
-
-    def test_dedup_drops_later_duplicate(self):
-        pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2 + 1e-14], [0.5, 0.6]])
-        keep = _dedup_keep_first(pts)
-        assert list(keep) == [0, 1, 3]
-
-    def test_pool_has_no_near_duplicates(self):
-        region = self.region()
-        pool = local_candidates(region[1], region, 50, 10, region, np.random.default_rng(8))
-        d = np.abs(pool.points[:, None, :] - pool.points[None, :, :]).max(axis=2)
-        np.fill_diagonal(d, 1.0)
-        assert d.min() >= DEDUP_TOLERANCE
 
 
 def tensor_too_close(points, reference, delta):
@@ -312,8 +310,7 @@ class TestTooClose:
                     center, region, m, 5, existing, np.random.default_rng(seed), delta=delta
                 )
             )
-        np.testing.assert_array_equal(pools[0].points, pools[1].points)
-        assert pools[0].provenance == pools[1].provenance
-        fills = pools[0].points[: m]
+        np.testing.assert_array_equal(pools[0], pools[1])
+        fills = pools[0][:m]
         kept = (np.abs(fills[:, None] - stream[None, :60]).max(axis=2) == 0).any(axis=0)
         assert not kept[:30].any() and kept[30:].all()
