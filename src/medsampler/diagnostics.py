@@ -17,6 +17,10 @@ from .engine import Design
 from .errors import ConfigError
 from .geometry import BLOCK_ELEMENTS, dim_sum_block, identity_spec, pair_term_matrix, psi_log
 
+# numpy's pairwise summation adds ranges of at most this many values in one
+# unrolled loop and splits longer ones in two (PW_BLOCKSIZE in its loops).
+PAIRWISE_BLOCKSIZE = 128
+
 
 @dataclass(frozen=True)
 class MarginalSummary:
@@ -100,20 +104,28 @@ def cl2_discrepancy(points: np.ndarray) -> float:
     c = np.abs(points - 0.5)
     term2 = np.prod(1.0 + 0.5 * c - 0.5 * c**2, axis=1).sum() * (2.0 / n)
     # The cross-term factor of dimension l is ((1 + h_i) + h_j) - 0.5|x_il - x_jl|
-    # with h = c/2, the tensor form's own arithmetic.  Built a block of rows
-    # at a time and multiplied into prods from 1.0 in dimension order, it
-    # gives np.prod's left-to-right product over the axis; with one .sum()
-    # over the (n, n) matrix the result is bit-identical to the n x n x p form.
+    # with h = c/2, the tensor form's own arithmetic.  Multiplied into a block
+    # of rows from 1.0 in dimension order, it gives np.prod's left-to-right
+    # product over the axis.  The n x n products are then summed as .sum()
+    # sums the whole (n, n) matrix: numpy's pairwise tree over the flat index
+    # range, followed here down to leaves of at most `leaf` values, each built
+    # in its own rows (the first and last possibly partial) and summed by
+    # np.sum along the same tree.  The result is bit-identical to the
+    # n x n x p form without holding an (n, n) matrix.
     x = np.ascontiguousarray(points.T)
     h = 0.5 * c.T
     one_h = 1.0 + h
-    prods = np.empty((n, n))
     rows = max(1, BLOCK_ELEMENTS // (n * p))
-    dist = np.empty((min(rows, n), n))
-    factor = np.empty_like(dist)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block, d, f = prods[lo:hi], dist[: hi - lo], factor[: hi - lo]
+    leaf = max(rows * n, PAIRWISE_BLOCKSIZE)
+    # rows touched by `leaf` consecutive flat values that start mid-row
+    span = min(n, (leaf + n - 2) // n + 1)
+    prods = np.empty((span, n))
+    dist = np.empty_like(prods)
+    factor = np.empty_like(prods)
+
+    def leaf_sum(start: int, size: int) -> float:
+        lo, hi = start // n, (start + size - 1) // n + 1
+        block, d, f = prods[: hi - lo], dist[: hi - lo], factor[: hi - lo]
         block.fill(1.0)
         for l in range(p):
             np.subtract(x[l, lo:hi, None], x[l, None, :], out=d)
@@ -122,7 +134,17 @@ def cl2_discrepancy(points: np.ndarray) -> float:
             np.add(one_h[l, lo:hi, None], h[l, None, :], out=f)
             f -= d
             block *= f
-    term3 = prods.sum() / (n * n)
+        first = start - lo * n
+        return np.sum(block.reshape(-1)[first : first + size])
+
+    def tree_sum(start: int, size: int) -> float:
+        if size <= leaf:
+            return leaf_sum(start, size)
+        half = size // 2
+        half -= half % 8
+        return tree_sum(start, half) + tree_sum(start + half, size - half)
+
+    term3 = tree_sum(0, n * n) / (n * n)
     sq = (13.0 / 12.0) ** p - term2 + term3
     return math.sqrt(max(sq, 0.0))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 
 import numpy as np
 
@@ -217,11 +217,21 @@ def update_sigma(
     return base
 
 
+def _check_config(config: RunConfig) -> None:
+    """Reject the exponent and correlation settings no stage could use."""
+    if config.s_mode not in ("adaptive", "fixed"):
+        raise ConfigError(f"s_mode must be 'adaptive' or 'fixed', got {config.s_mode!r}")
+    if not (isfinite(config.s_value) and config.s_value >= 0.0):
+        raise ConfigError(f"s_value must be finite and >= 0, got {config.s_value}")
+    if config.s_quantile is not None and not 0.0 <= config.s_quantile <= 0.5:
+        raise ConfigError(f"s_quantile must be in [0, 0.5], got {config.s_quantile}")
+    if config.theta is not None and not (isfinite(config.theta) and config.theta > 0.0):
+        raise ConfigError(f"theta must be finite and positive, got {config.theta}")
+
+
 def _resolve_s(logf: np.ndarray, gamma_k: float, config: RunConfig) -> float:
     if config.s_mode == "fixed":
         return float(config.s_value)
-    if config.s_mode != "adaptive":
-        raise ConfigError(f"s_mode must be 'adaptive' or 'fixed', got {config.s_mode!r}")
     if config.s_quantile is not None:
         f_lo = float(np.quantile(logf, config.s_quantile))
         f_hi = float(np.quantile(logf, 1.0 - config.s_quantile))
@@ -503,7 +513,7 @@ def run(
     m = config.m if config.m is not None else 50 * p
     if m < 1:
         raise ConfigError(f"need m >= 1, got {m}")
-    _resolve_s(np.zeros(1), 0.0, config)  # validates s_mode early
+    _check_config(config)
     ledger = ledger if ledger is not None else EvaluationLedger()
     start_count = ledger.count
     schedule = AnnealSchedule.of(K)

@@ -35,8 +35,9 @@ LOGF_FLOOR = -1e10
 
 # Row budget of the row-blocked kernels, rows * j * p <= BLOCK_ELEMENTS (or one
 # row).  dim_sum_block here holds one (rows, j, p) block, at most 8 MB of
-# float64.  The CL2 cross term in diagnostics holds two (rows, n) factor
-# buffers, each at most BLOCK_ELEMENTS / p values, next to its (n, n) products.
+# float64.  The CL2 cross term in diagnostics sums leaves of at most rows * n
+# products (or 128), each in three (rows + 1, n) buffers, so it holds about
+# 3 * BLOCK_ELEMENTS / p values and no (n, n) matrix.
 BLOCK_ELEMENTS = 1 << 20
 
 

@@ -84,8 +84,11 @@ def fit(
 
     R is built in the one squared-distance matrix: its off-diagonal entries
     are the bits of ``exp(-theta * d2)`` and its diagonal is ``1 + jitter``,
-    as adding ``jitter * I`` would give.  Peak memory is that matrix plus the
-    factor's copy.
+    as adding ``jitter * I`` would give.  R is exactly symmetric, so its
+    transpose is a Fortran-ordered view with the same lower triangle, and
+    LAPACK factors it in place: peak memory is that one matrix.  A failed
+    factorization has overwritten part of it, so R is rebuilt before the
+    next jitter.
     """
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     y_train = np.asarray(y_train, dtype=float).ravel()
@@ -98,8 +101,8 @@ def fit(
         raise ConfigError("training values must be finite (floor them first)")
     if not np.all(np.isfinite(x_train)):
         raise ConfigError("training points must be finite")
-    if theta is not None and theta <= 0:
-        raise ConfigError(f"theta must be positive, got {theta}")
+    if theta is not None and not (np.isfinite(theta) and theta > 0):
+        raise ConfigError(f"theta must be finite and positive, got {theta}")
     if not 0.0 < jitter_start <= JITTER_LIMIT:
         raise ConfigError(f"jitter_start must be in (0, {JITTER_LIMIT}], got {jitter_start}")
 
@@ -111,7 +114,7 @@ def fit(
     while True:
         np.fill_diagonal(corr, 1.0 + jitter)
         try:
-            factor = cho_factor(corr, lower=True, check_finite=False)
+            factor = cho_factor(corr.T, lower=True, overwrite_a=True, check_finite=False)
             break
         except LinAlgError:
             if jitter >= JITTER_LIMIT:
@@ -123,6 +126,7 @@ def fit(
                     f"closest training pair is ({min(i, j)}, {max(i, j)}) at "
                     f"distance {np.sqrt(d2[i, j]):g}"
                 ) from None
+            _gaussian(cdist(x_train, x_train, "sqeuclidean", out=corr), theta)
             jitter *= 10.0
 
     solves = cho_solve(factor, np.column_stack([y_train, np.ones(k)]), check_finite=False)

@@ -109,6 +109,22 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--s-quantile", "1.5"], "s_quantile"),
+            (["--s-quantile", "nan"], "s_quantile"),
+            (["--s-quantile", "0.7"], "s_quantile"),
+            (["--s-mode", "fixed", "--s-value", "-1"], "s_value"),
+            (["--s-value", "nan"], "s_value"),
+            (["--theta", "nan"], "theta"),
+        ],
+    )
+    def test_bad_exponent_or_theta_is_usage_error(self, tmp_path, capsys, flags, name):
+        code = main(["generate", "--density", "banana", *flags, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert name in capsys.readouterr().err
+
     def test_missing_out_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["generate", "--density", "banana"])

@@ -800,3 +800,34 @@ class TestRunProperties:
             run(make_uniform(2), RunConfig(K=1))
         with pytest.raises(ConfigError):
             run(make_uniform(2), RunConfig(s_mode="weird"))
+
+    # each would otherwise fail deep in a stage (quantile above 1), blame the
+    # density range (quantile above 0.5), or run silently on a wrong metric
+    # (negative or NaN s, NaN theta)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"s_quantile": 1.5},
+            {"s_quantile": float("nan")},
+            {"s_quantile": 0.7},
+            {"s_quantile": -0.1},
+            {"s_mode": "fixed", "s_value": -1.0},
+            {"s_value": float("nan")},
+            {"s_value": float("inf")},
+            {"theta": float("nan")},
+            {"theta": float("inf")},
+            {"theta": 0.0},
+        ],
+    )
+    def test_invalid_exponent_or_theta_rejected_before_any_call(self, bad):
+        ledger = EvaluationLedger()
+        with pytest.raises(ConfigError):
+            run(make_uniform(2), RunConfig(n=10, K=2, **bad), ledger=ledger)
+        assert ledger.count == 0
+
+    @pytest.mark.parametrize(
+        "edge", [{"s_quantile": 0.0}, {"s_quantile": 0.5}, {"s_mode": "fixed", "s_value": 0.0}]
+    )
+    def test_edge_exponent_settings_run(self, edge):
+        design, report = run(make_uniform(2), RunConfig(n=10, K=2, **edge))
+        assert report.ledger.count == 20

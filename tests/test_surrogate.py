@@ -47,6 +47,9 @@ class TestFit:
             fit(np.zeros((2, 2)), np.array([1.0, np.inf]), 1.0)
         with pytest.raises(ConfigError):
             fit(np.zeros((2, 2)), np.zeros(2), -1.0)
+        for theta in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                fit(np.zeros((2, 2)), np.zeros(2), theta)
         with pytest.raises(ConfigError):
             fit(np.zeros((3, 2)), np.zeros(2), 1.0)
 
@@ -140,10 +143,11 @@ class TestFitConstruction:
         for mine, want in zip(got, ref):
             assert np.array_equal(mine, want)
 
-    def test_peak_memory_is_two_matrices(self):
-        """R lives in the squared-distance matrix, so the peak is that matrix
-        plus the factor's copy: 2.0 matrices here, where the
-        exp(-theta * d2) + jitter * I formula peaks at 3.0."""
+    def test_peak_memory_is_one_matrix(self):
+        """R lives in the squared-distance matrix and is factored in place, so
+        the peak is that matrix and _gaussian's boolean mask: 1.125 matrices
+        here, where a factor copy peaks at 2.0 and the
+        exp(-theta * d2) + jitter * I formula at 3.0."""
         k = 1200
         rng = np.random.default_rng(8)
         x = rng.random((k, 30))
@@ -154,7 +158,7 @@ class TestFitConstruction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * k * k * 8
+        assert peak <= 1.5 * k * k * 8
 
 
 class TestGaussian:
