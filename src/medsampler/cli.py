@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import json
 import os
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from .engine import Design, RunConfig, RunReport, run
 from .errors import ConfigError, FileFormatError, MedError
 from .fileio import (
     atomic_write_text,
-    fmt,
+    csv_text,
     ledger_digest,
     point_stages,
     read_design,
@@ -47,92 +48,85 @@ from .qmc import hammersley
 # perfbench/tracer.py wraps cli.default_theta and cli.predict; keep them importable.
 from .surrogate import default_theta, fit, predict  # noqa: F401
 
-BUILTIN_DENSITIES = ("banana", "uniform", "ar1", "prior", "external")
+# The flags each density is built from besides --density, all required (--timeout
+# has a default).  manifest.json echoes them with the model's p, and --box, which
+# prior and external read, whenever it is given.
+DENSITY_FLAGS = {
+    "banana": (),
+    "uniform": ("p",),
+    "ar1": ("p", "rho", "sigma"),
+    "prior": ("prior",),
+    "external": ("cmd", "p", "timeout"),
+}
 
 
-def _parse_box(text: str, p: int) -> np.ndarray:
-    pairs = [part for part in text.split(";") if part.strip()]
-    if len(pairs) != p:
-        raise ConfigError(f"--box needs {p} lo,hi pairs separated by ';', got {len(pairs)}")
-    box = np.empty((p, 2))
-    for l, pair in enumerate(pairs):
-        fields = pair.split(",")
-        if len(fields) != 2:
-            raise ConfigError(f"--box entry {l + 1} must be 'lo,hi', got {pair!r}")
-        box[l] = [float(fields[0]), float(fields[1])]
-    return box
+def _parse_groups(flag: str, text: str, names: tuple[str, ...], count: int | None = None):
+    """``text`` as ';'-joined groups of ','-separated numbers, one per name in ``names``.
 
-
-def _parse_prior(text: str):
-    factors = []
+    Empty groups are skipped; ``count``, when given, is the number of groups
+    required.  Any malformed group is a usage error naming ``flag``.
+    """
+    form = ",".join(names)
+    groups = []
     for part in text.split(";"):
         if not part.strip():
             continue
-        fields = part.split(",")
-        if len(fields) != 4:
-            raise ConfigError(
-                f"--prior factors are 'a,b,rate_lo,rate_hi' quadruples, got {part!r}"
-            )
-        a, b, la, lb = (float(f) for f in fields)
-        factors.append(make_piecewise_prior(a, b, la, lb))
-    if not factors:
-        raise ConfigError("--prior is empty")
-    return factors
+        try:
+            values = [float(f) for f in part.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != len(names):
+            raise ConfigError(f"--{flag} takes '{form}' number groups joined by ';', got {part!r}")
+        groups.append(values)
+    if count is not None and len(groups) != count:
+        raise ConfigError(f"--{flag} needs {count} '{form}' groups, got {len(groups)}")
+    if not groups:
+        raise ConfigError(f"--{flag} is empty")
+    return groups
+
+
+def _box(args, p: int) -> np.ndarray | None:
+    return np.array(_parse_groups("box", args.box, ("lo", "hi"), p)) if args.box else None
 
 
 def _build_density(args) -> DensityModel:
     name = args.density
     if name is None:
         raise ConfigError("--density is required")
+    missing = [f"--{flag}" for flag in DENSITY_FLAGS[name] if getattr(args, flag) is None]
+    if missing:
+        raise ConfigError(f"--density {name} needs {' and '.join(missing)}")
     if name == "banana":
         return make_banana()
     if name == "uniform":
-        if args.p is None:
-            raise ConfigError("--density uniform needs --p")
         return make_uniform(args.p)
     if name == "ar1":
-        if args.p is None or args.rho is None or args.sigma is None:
-            raise ConfigError("--density ar1 needs --p, --rho and --sigma")
         return make_ar1_normal(args.p, args.rho, args.sigma)
     if name == "prior":
-        if args.prior is None:
-            raise ConfigError("--density prior needs --prior factor quadruples")
-        factors = _parse_prior(args.prior)
-        box = _parse_box(args.box, len(factors)) if args.box else None
-        return make_product_prior(factors, box=box)
-    if name == "external":
-        if args.cmd is None or args.p is None:
-            raise ConfigError("--density external needs --cmd and --p")
-        threads = args.threads
-        if threads is None:
-            raw = os.environ.get("MED_THREADS", "1")
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise ConfigError(f"MED_THREADS must be an integer, got {raw!r}") from None
-        box = _parse_box(args.box, args.p) if args.box else None
-        return make_external(args.cmd, timeout=args.timeout, max_concurrency=threads, p=args.p, box=box)
-    raise ConfigError(f"unknown density {name!r}")
+        quads = _parse_groups("prior", args.prior, ("a", "b", "rate_lo", "rate_hi"))
+        factors = [make_piecewise_prior(*quad) for quad in quads]
+        return make_product_prior(factors, box=_box(args, len(factors)))
+    threads = args.threads
+    if threads is None:
+        raw = os.environ.get("MED_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(f"MED_THREADS must be an integer, got {raw!r}") from None
+    return make_external(
+        args.cmd, timeout=args.timeout, max_concurrency=threads, p=args.p, box=_box(args, args.p)
+    )
 
 
 def _density_echo(args, model: DensityModel) -> dict:
-    echo = {"name": args.density, "p": model.p}
-    if args.density == "ar1":
-        echo["rho"] = args.rho
-        echo["sigma"] = args.sigma
-    if args.density == "prior":
-        echo["prior"] = args.prior
-    if args.density == "external":
-        echo["cmd"] = args.cmd
-        echo["timeout"] = args.timeout
+    echo = {flag: getattr(args, flag) for flag in DENSITY_FLAGS[args.density]}
+    echo.update(name=args.density, p=model.p)
     if args.box:
         echo["box"] = args.box
     return echo
 
 
 def _load_config_file(path: str) -> dict:
-    import json
-
     try:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -254,29 +248,33 @@ def _require_truth(args, model: DensityModel) -> None:
 def _ks_uniform(u: np.ndarray) -> float:
     """Kolmogorov distance of each column to Uniform(0,1); worst dimension."""
     n = len(u)
-    worst = 0.0
-    for l in range(u.shape[1]):
-        s = np.sort(u[:, l])
-        grid = np.arange(1, n + 1) / n
-        worst = max(worst, float(np.max(np.maximum(grid - s, s - (grid - 1.0 / n)))))
-    return worst
+    s = np.sort(u, axis=0)
+    grid = np.arange(1, n + 1)[:, None] / n
+    return float(np.max(np.maximum(grid - s, s - (grid - 1.0 / n))))
+
+
+def _truth_scores(model: DensityModel, points: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The points through the density's truth map: (u, CL2 of u, worst marginal KS of u)."""
+    u = model.truth_transform(points)
+    return u, cl2_discrepancy(u), _ks_uniform(u)
+
+
+def _design_of(path) -> Design:
+    """A design file as the final-stage design it records."""
+    df = read_design(path)
+    return Design(points=df.points, logf=df.logf, stage=int(df.stages.max()), gamma=1.0)
 
 
 def cmd_diagnose(args) -> int:
-    df = read_design(args.design)
+    design = _design_of(args.design)
+    points = design.points
     # CL2 and the (0, 1) marginal histograms are defined on the unit cube only
-    outside = np.flatnonzero(~np.all((df.points >= 0.0) & (df.points <= 1.0), axis=1))
+    outside = np.flatnonzero(~np.all((points >= 0.0) & (points <= 1.0), axis=1))
     if len(outside):
         i = int(outside[0])
         raise FileFormatError(
-            f"{args.design} line {i + 2}: point {df.points[i].tolist()} lies outside the unit cube"
+            f"{args.design} line {i + 2}: point {points[i].tolist()} lies outside the unit cube"
         )
-    design = Design(
-        points=df.points,
-        logf=df.logf,
-        stage=int(df.stages.max()),
-        gamma=1.0,
-    )
     report = diagnostics_report(design, bins=args.bins)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -286,66 +284,46 @@ def cmd_diagnose(args) -> int:
     if args.truth:
         with _build_density(args) as model:
             _require_truth(args, model)
-            if model.p != df.points.shape[1]:
-                raise ConfigError(
-                    f"design has {df.points.shape[1]} dimensions, density has {model.p}"
-                )
-            truth_rows = model.truth_transform(df.points)
-        payload["truth"] = {
-            "cl2_transformed": cl2_discrepancy(truth_rows),
-            "marginal_max_error": _ks_uniform(truth_rows),
-        }
+            if model.p != points.shape[1]:
+                raise ConfigError(f"design has {points.shape[1]} dimensions, density has {model.p}")
+            truth_rows, cl2, ks = _truth_scores(model, points)
+        payload["truth"] = {"cl2_transformed": cl2, "marginal_max_error": ks}
 
     write_json(out / "report.json", payload)
 
-    lines = ["dim,bin,lo,hi,mass"]
-    for marg in report.marginals:
-        for b in range(len(marg.masses)):
-            lines.append(
-                ",".join(
-                    [
-                        str(marg.dim),
-                        str(b),
-                        fmt(marg.bin_edges[b]),
-                        fmt(marg.bin_edges[b + 1]),
-                        fmt(marg.masses[b]),
-                    ]
-                )
-            )
-    atomic_write_text(out / "marginals.csv", "\n".join(lines) + "\n")
-
-    lines = ["dim_i,dim_j,r"]
-    p = len(report.marginals)
-    for i in range(p):
-        for j in range(p):
-            lines.append(f"{i},{j},{fmt(report.correlation[i][j])}")
-    atomic_write_text(out / "correlation.csv", "\n".join(lines) + "\n")
-
+    marginals = (
+        [m.dim, b, lo, hi, mass]
+        for m in report.marginals
+        for b, (lo, hi, mass) in enumerate(
+            zip(m.bin_edges[:-1].tolist(), m.bin_edges[1:].tolist(), m.masses.tolist())
+        )
+    )
+    header = ["dim", "bin", "lo", "hi", "mass"]
+    atomic_write_text(out / "marginals.csv", csv_text(header, marginals))
+    correlation = (
+        [i, j, r] for i, row in enumerate(report.correlation.tolist()) for j, r in enumerate(row)
+    )
+    atomic_write_text(out / "correlation.csv", csv_text(["dim_i", "dim_j", "r"], correlation))
     if truth_rows is not None:
-        lines = ["dim,point,u"]
-        for l in range(truth_rows.shape[1]):
-            for i in range(truth_rows.shape[0]):
-                lines.append(f"{l},{i},{fmt(truth_rows[i, l])}")
-        atomic_write_text(out / "truth_transform.csv", "\n".join(lines) + "\n")
+        columns = truth_rows.T.tolist()
+        truth = ([l, i, u] for l, col in enumerate(columns) for i, u in enumerate(col))
+        atomic_write_text(out / "truth_transform.csv", csv_text(["dim", "point", "u"], truth))
 
-    print(f"diagnostics for {len(df.points)} points -> {out}")
+    print(f"diagnostics for {len(points)} points -> {out}")
     return 0
 
 
 def cmd_followup(args) -> int:
     run_dir = Path(args.run)
-    design_path = run_dir / "design.csv"
     ledger_path = run_dir / "ledger.csv"
     if not ledger_path.exists():
         raise FileFormatError(f"no ledger at {ledger_path}; run generate first")
-    df = read_design(design_path)
+    design = _design_of(run_dir / "design.csv")
     ledger = read_ledger(ledger_path)
     digest_before = ledger_digest(ledger)
 
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
-        import json
-
         try:
             manifest = json.loads(manifest_path.read_text())
         except (OSError, ValueError) as exc:
@@ -359,7 +337,6 @@ def cmd_followup(args) -> int:
     x = ledger.points()
     y = ledger.logf_values()
     surrogate = fit(x, y)
-    design = Design(points=df.points, logf=df.logf, stage=int(df.stages.max()), gamma=1.0)
     result = followup_mcmc(design, surrogate, N=args.N, seed=args.seed)
 
     out_path = Path(args.out) if args.out else run_dir / "samples.csv"
@@ -373,44 +350,36 @@ def cmd_followup(args) -> int:
 
 
 def _bench_one(args, model: DensityModel, seeds: list[int]) -> dict:
-    entry = {
-        "density": args.density,
-        "p": model.p,
-        "med": {"cl2": [], "marginal_error": [], "evaluations": []},
-        "metropolis": {"cl2": [], "marginal_error": [], "evaluations": [], "accept_rate": []},
-        "hammersley": {},
-    }
+    entry = {"density": args.density, "p": model.p, "med": {}, "metropolis": {}, "hammersley": {}}
+
+    def score(sampler: str, points: np.ndarray, **extra) -> None:
+        _, cl2, ks = _truth_scores(model, points)
+        for key, value in {"cl2": cl2, "marginal_error": ks, **extra}.items():
+            entry[sampler].setdefault(key, []).append(value)
+
     for seed in seeds:
         config = _run_config(args)
         config.seed = seed
         design, report = run(model, config)
         entry["n"], entry["K"], entry["budget"] = report.n, report.K, report.budget
-        u = model.truth_transform(design.points)
-        entry["med"]["cl2"].append(cl2_discrepancy(u))
-        entry["med"]["marginal_error"].append(_ks_uniform(u))
-        entry["med"]["evaluations"].append(report.budget)
+        score("med", design.points, evaluations=report.budget)
 
-        chain_ledger = EvaluationLedger()
         spec = ChainSpec(start=np.full(model.p, 0.5), length=1, seed=seed)
-        mres = adaptive_metropolis(model, spec, chain_ledger, eval_budget=report.budget)
-        u = model.truth_transform(mres.chain)
-        entry["metropolis"]["cl2"].append(cl2_discrepancy(u))
-        entry["metropolis"]["marginal_error"].append(_ks_uniform(u))
-        entry["metropolis"]["evaluations"].append(mres.evaluations)
-        entry["metropolis"]["accept_rate"].append(mres.accept_rate)
+        mres = adaptive_metropolis(model, spec, EvaluationLedger(), eval_budget=report.budget)
+        score("metropolis", mres.chain, evaluations=mres.evaluations, accept_rate=mres.accept_rate)
 
-    u = model.truth_transform(hammersley(entry["budget"], model.p))
-    entry["hammersley"] = {
-        "cl2": [cl2_discrepancy(u)],
-        "marginal_error": [_ks_uniform(u)],
-        "evaluations": [0],
-    }
+    score("hammersley", hammersley(entry["budget"], model.p), evaluations=0)
     return entry
 
 
 def cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = list(range(args.seeds))
-    ps = [int(v) for v in args.sweep.split(",") if v.strip()] if args.sweep else [args.p]
+    try:
+        ps = [int(v) for v in args.sweep.split(",") if v.strip()] if args.sweep else [args.p]
+    except ValueError:
+        raise ConfigError(f"--sweep takes p values joined by ',', got {args.sweep!r}") from None
     with contextlib.ExitStack() as stack:
         models = []
         # every model is built and checked before the first run starts
@@ -431,7 +400,7 @@ def cmd_bench(args) -> int:
 
 
 def _add_density_flags(sub) -> None:
-    sub.add_argument("--density", choices=BUILTIN_DENSITIES, required=False)
+    sub.add_argument("--density", choices=tuple(DENSITY_FLAGS), required=False)
     sub.add_argument("--p", type=int)
     sub.add_argument("--rho", type=float)
     sub.add_argument("--sigma", type=float)

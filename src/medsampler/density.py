@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular, toeplitz
 from scipy.special import ndtr
 
-from .errors import ConfigError, DensityProtocolError, SingularCovarianceError
+from .errors import ConfigError, DensityProtocolError
 from .geometry import LOGF_FLOOR
 
 
@@ -128,7 +128,9 @@ def _validate_box(box: np.ndarray, p: int) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     if box.shape != (p, 2):
         raise ConfigError(f"box must have shape ({p}, 2), got {box.shape}")
-    if np.any(box[:, 1] <= box[:, 0]):
+    if not np.all(np.isfinite(box)):
+        raise ConfigError(f"box bounds must be finite, got {box.tolist()}")
+    if not np.all(box[:, 1] > box[:, 0]):
         raise ConfigError("box upper bounds must exceed lower bounds")
     return box
 
@@ -268,10 +270,9 @@ def make_ar1_normal(p: int, rho: float, sigma: float) -> DensityModel:
     """
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")
-    if sigma <= 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    if rho == 1.0:
-        raise SingularCovarianceError("rho = 1 makes the AR(1) covariance singular")
+    if not 0.0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+    # rho = 1 would make the covariance singular
     if not 0.0 <= rho < 1.0:
         raise ConfigError(f"rho must lie in [0, 1), got {rho}")
     cov = sigma**2 * toeplitz(rho ** np.arange(p))
@@ -316,9 +317,11 @@ def make_piecewise_prior(
     a: float, b: float, lambda_a: float, lambda_b: float
 ) -> PriorFactor:
     """Uniform-with-exponential-tails prior factor; factors add in log scale."""
+    if not np.all(np.isfinite([a, b, lambda_a, lambda_b])):
+        raise ConfigError(f"prior factor settings must be finite, got {[a, b, lambda_a, lambda_b]}")
     if not a < b:
         raise ConfigError(f"need a < b, got a={a}, b={b}")
-    if lambda_a <= 0 or lambda_b <= 0:
+    if not (lambda_a > 0 and lambda_b > 0):
         raise ConfigError("tail rates must be positive")
     return PriorFactor(a=a, b=b, lambda_a=lambda_a, lambda_b=lambda_b)
 
@@ -491,8 +494,8 @@ def make_external(
         raise ConfigError(f"dimension must be >= 1, got {p}")
     if max_concurrency < 1:
         raise ConfigError(f"max_concurrency must be >= 1, got {max_concurrency}")
-    if timeout <= 0:
-        raise ConfigError(f"timeout must be positive, got {timeout}")
+    if not 0 < timeout < math.inf:
+        raise ConfigError(f"timeout must be positive and finite, got {timeout}")
     box = _identity_box(p) if box is None else _validate_box(box, p)
     pool = _ExternalPool(command, p, timeout, max_concurrency)
     return DensityModel(p=p, box=box, kind="external", name="external", pool=pool)

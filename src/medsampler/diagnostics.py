@@ -206,23 +206,16 @@ def marginals_and_correlations(
             )
         )
 
-    sds = points.std(axis=0, ddof=1)
     # constant columns leave ~1e-17 rounding residue, not exact zeros
-    degenerate = bool(np.any(sds <= 1e-12))
-    if p == 1:
-        corr = np.ones((1, 1))
-    elif degenerate:
-        corr = np.zeros((p, p))
-        ok = sds > 1e-12
-        if ok.sum() >= 2:
-            sub = np.corrcoef(points[:, ok], rowvar=False)
-            corr[np.ix_(ok, ok)] = sub
-        np.fill_diagonal(corr, 1.0)
-    else:
-        corr = np.corrcoef(points, rowvar=False)
-        np.fill_diagonal(corr, 1.0)
+    ok = points.std(axis=0, ddof=1) > 1e-12
+    corr = np.zeros((p, p))
+    if ok.sum() >= 2:
+        # compress keeps the rows contiguous (points[:, ok] would not), so
+        # corrcoef sums in the order it uses on the full matrix
+        corr[np.ix_(ok, ok)] = np.corrcoef(np.compress(ok, points, axis=1), rowvar=False)
+    np.fill_diagonal(corr, 1.0)
     corr = np.clip(corr, -1.0, 1.0)
-    return marginals, corr, degenerate
+    return marginals, corr, not bool(ok.all())
 
 
 def diagnostics_report(design: Design, bins: int | None = None) -> DiagnosticsReport:

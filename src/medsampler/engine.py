@@ -520,9 +520,9 @@ def run(
     t_run = time.perf_counter()
 
     budget = K * n
-    buf_pts = np.empty((start_count + budget, p))
-    buf_logf = np.empty(start_count + budget)
-    buf_white = np.empty((start_count + budget, p))
+    buf_pts = np.empty((budget, p))
+    buf_logf = np.empty(budget)
+    buf_white = np.empty((budget, p))
 
     t0 = time.perf_counter()
     ledger.begin_stage(1)

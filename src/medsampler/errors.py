@@ -9,16 +9,12 @@ class ConfigError(MedError):
     """Invalid run configuration or invalid arguments to an operation."""
 
 
-class SingularCovarianceError(MedError):
-    """A covariance matrix required to be positive definite is singular."""
-
-
 class SurrogateFitError(MedError):
     """Correlation-matrix factorization failed even after jitter escalation."""
 
 
 class CandidatePoolError(MedError):
-    """A local candidate pool came up empty after deduplication and retry."""
+    """A local candidate pool came up empty, also on its retry in an inflated region."""
 
 
 class DensityProtocolError(MedError):

@@ -65,20 +65,24 @@ class DesignFile:
     stages: np.ndarray
 
 
-def _write_table(
-    path: str | Path, points: np.ndarray, logf: np.ndarray, tags: np.ndarray, tag: str
-) -> None:
-    """CSV of x1..xp, logf and one integer column named ``tag``.
+def csv_text(header: list[str], rows) -> str:
+    """CSV text of ``header`` and ``rows``, each row a list of Python ints and floats.
 
     ``repr`` of a Python float is ``fmt``'s string, so whole rows are
     formatted at once from ``tolist()``.
     """
+    return "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
+def _write_table(
+    path: str | Path, points: np.ndarray, logf: np.ndarray, tags: np.ndarray, tag: str
+) -> None:
+    """CSV of x1..xp, logf and one integer column named ``tag``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     table = np.column_stack([points, np.asarray(logf, dtype=float)]).tolist()
-    tags = np.asarray(tags).astype(int).tolist()
-    lines = [",".join(_coord_names(points.shape[1]) + ["logf", tag])]
-    lines += [f"{','.join(map(repr, row))},{t}" for row, t in zip(table, tags)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    for row, t in zip(table, np.asarray(tags).astype(int).tolist()):
+        row.append(t)
+    atomic_write_text(path, csv_text(_coord_names(points.shape[1]) + ["logf", tag], table))
 
 
 def write_design(
@@ -97,11 +101,12 @@ def write_ledger(path: str | Path, ledger: EvaluationLedger) -> None:
     if ledger.count == 0:
         raise FileFormatError("refusing to write an empty ledger")
     p = len(ledger.records[0].x)
-    lines = [",".join(["seq", "stage"] + _coord_names(p) + ["logf", "duration_ms"])]
-    for rec in ledger.records:
-        values = rec.x.tolist() + [float(rec.logf), float(rec.duration_ms)]
-        lines.append(f"{rec.seq},{rec.stage},{','.join(map(repr, values))}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = ["seq", "stage"] + _coord_names(p) + ["logf", "duration_ms"]
+    rows = (
+        [rec.seq, rec.stage, *rec.x.tolist(), float(rec.logf), float(rec.duration_ms)]
+        for rec in ledger.records
+    )
+    atomic_write_text(path, csv_text(header, rows))
 
 
 def _parse_rows(

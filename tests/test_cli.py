@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from medsampler.cli import main
-from medsampler.fileio import read_design, read_ledger, read_samples
+from medsampler.cli import _ks_uniform, main
+from medsampler.density import make_banana
+from medsampler.fileio import fmt, read_design, read_ledger, read_samples
 from medsampler.geometry import identity_spec, psi_log
 from medsampler.surrogate import fit, predict
 
@@ -140,6 +141,102 @@ def test_bad_med_threads_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "MED_THREADS" in capsys.readouterr().err
 
 
+EVALUATOR = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    x = req.get("x_orig", req["x"])
+    print(json.dumps({"id": req["id"], "logf": -sum(v * v for v in x)}), flush=True)
+"""
+
+
+def evaluator(tmp_path):
+    path = tmp_path / "evaluator.py"
+    path.write_text(EVALUATOR)
+    return f"{sys.executable} {path}"
+
+
+class TestDensityFlags:
+    """--box, --prior and the flags each density reads, echoed in manifest.json."""
+
+    def generate(self, tmp_path, flags):
+        out = tmp_path / "run"
+        code = main(["generate", *flags, "--n", "6", "--K", "2", "--out", str(out)])
+        assert code == 0
+        return out
+
+    def test_prior_with_box(self, tmp_path):
+        prior = "0,1,2,2;-1,1,1,3"
+        flags = ["--density", "prior", "--prior", prior, "--box=-0.5,1.5;-2,2"]
+        out = self.generate(tmp_path, flags)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["density"] == {
+            "name": "prior", "p": 2, "prior": prior, "box": "-0.5,1.5;-2,2"
+        }
+        points = read_design(out / "design.csv").points
+        assert points.shape == (6, 2)
+        assert np.all((points >= 0.0) & (points <= 1.0))
+
+    @pytest.mark.parametrize(
+        "flags, echo",
+        [
+            (["--density", "banana"], {"name": "banana", "p": 2}),
+            (["--density", "uniform", "--p", "3"], {"name": "uniform", "p": 3}),
+            (
+                ["--density", "ar1", "--p", "2", "--rho", "0.5", "--sigma", "0.2"],
+                {"name": "ar1", "p": 2, "rho": 0.5, "sigma": 0.2},
+            ),
+            (
+                ["--density", "prior", "--prior", "0,1,2,2"],
+                {"name": "prior", "p": 1, "prior": "0,1,2,2"},
+            ),
+            (
+                ["--density", "external", "--p", "2", "--box=-1,2;0,5", "--threads", "2"],
+                {"name": "external", "p": 2, "timeout": 30.0, "box": "-1,2;0,5"},
+            ),
+        ],
+        ids=["banana", "uniform", "ar1", "prior", "external"],
+    )
+    def test_manifest_echo(self, tmp_path, flags, echo):
+        if "external" in flags:
+            flags = [*flags, "--cmd", evaluator(tmp_path)]
+            echo = {**echo, "cmd": flags[-1]}
+        out = self.generate(tmp_path, flags)
+        assert json.loads((out / "manifest.json").read_text())["config"]["density"] == echo
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--prior", "0,1,2,2;-1,1,1,3", "--box=0,1;0,x"], "--box"),
+            (["--prior", "0,1,2,2;-1,1,1,3", "--box=0,1"], "--box"),
+            (["--prior", "0,1,2,2;-1,1,1,3", "--box=0,1;0,1,2"], "--box"),
+            (["--prior", "0,1,two,2"], "--prior"),
+            (["--prior", "0,1,2"], "--prior"),
+            (["--prior", ";"], "--prior"),
+        ],
+        ids=["box-number", "box-count", "box-width", "prior-number", "prior-width", "prior-empty"],
+    )
+    def test_malformed_list_is_usage_error(self, tmp_path, capsys, flags, flag):
+        code = main(["generate", "--density", "prior", *flags, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--density", "ar1", "--p", "2", "--rho", "0.5", "--sigma", "nan"],
+            ["--density", "ar1", "--p", "2", "--rho", "0.5", "--sigma", "inf"],
+            ["--density", "ar1", "--p", "2", "--rho", "1", "--sigma", "0.2"],
+            ["--density", "prior", "--prior", "0,1,nan,1"],
+            ["--density", "prior", "--prior", "0,1,1,1", "--box=0,inf"],
+            ["--density", "external", "--cmd", "true", "--p", "1", "--timeout", "nan"],
+        ],
+        ids=["sigma-nan", "sigma-inf", "rho-one", "prior-nan-rate", "box-inf", "timeout-nan"],
+    )
+    def test_bad_setting_is_usage_error(self, tmp_path, flags):
+        assert main(["generate", *flags, "--out", str(tmp_path / "x")]) == 2
+
+
 class TestConfigFile:
     def test_file_fills_missing_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -206,6 +303,32 @@ class TestDiagnose:
         assert len(lines) == 1 + 2 * 10
         corr = (out / "correlation.csv").read_text().splitlines()
         assert len(corr) == 1 + 4
+
+    def test_csv_tables_hold_the_report_and_truth_values(self, tmp_path):
+        run = generate(tmp_path)
+        out = tmp_path / "diag"
+        code = main(
+            ["diagnose", "--design", str(run / "design.csv"), "--out", str(out),
+             "--truth", "--density", "banana"]
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        lines = ["dim,bin,lo,hi,mass"] + [
+            f"{m['dim']},{b},{fmt(m['bin_edges'][b])},{fmt(m['bin_edges'][b + 1])},{fmt(mass)}"
+            for m in report["marginals"]
+            for b, mass in enumerate(m["masses"])
+        ]
+        assert (out / "marginals.csv").read_text() == "\n".join(lines) + "\n"
+        corr = report["correlation"]
+        lines = ["dim_i,dim_j,r"] + [
+            f"{i},{j},{fmt(r)}" for i, row in enumerate(corr) for j, r in enumerate(row)
+        ]
+        assert (out / "correlation.csv").read_text() == "\n".join(lines) + "\n"
+        u = make_banana().truth_transform(read_design(run / "design.csv").points)
+        lines = ["dim,point,u"] + [
+            f"{l},{i},{fmt(u[i, l])}" for l in range(2) for i in range(len(u))
+        ]
+        assert (out / "truth_transform.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_truth_flag_adds_comparisons(self, tmp_path):
         run = generate(tmp_path)
@@ -415,6 +538,14 @@ class TestBench:
         comp = json.loads((out / "comparison.json").read_text())
         assert [entry["p"] for entry in comp["sweep"]] == [1, 3]
 
+    @pytest.mark.parametrize(
+        "flags", [["--seeds", "0"], ["--sweep", "1,a"]], ids=["seeds", "sweep"]
+    )
+    def test_bad_seeds_or_sweep_is_usage_error(self, tmp_path, capsys, flags):
+        code, _ = self.run_bench(tmp_path, flags)
+        assert code == 2
+        assert flags[0] in capsys.readouterr().err
+
     def test_sweep_needs_ar1(self, tmp_path):
         code = main(
             ["bench", "--density", "banana", "--sweep", "1,2", "--out", str(tmp_path / "b")]
@@ -430,6 +561,17 @@ class TestBench:
         assert code == 0
         comp = json.loads((out / "comparison.json").read_text())
         assert [entry["p"] for entry in comp["sweep"]] == [1, 2]
+
+
+def test_ks_uniform_is_the_worst_column():
+    u = np.random.default_rng(0).random((37, 3)) ** [1.0, 2.0, 0.5]
+    n = len(u)
+    grid = np.arange(1, n + 1) / n
+    columns = []
+    for l in range(3):
+        s = np.sort(u[:, l])
+        columns.append(float(np.max(np.maximum(grid - s, s - (grid - 1.0 / n)))))
+    assert _ks_uniform(u) == max(columns)
 
 
 class TestUniformTruthTransform:

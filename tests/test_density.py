@@ -20,11 +20,7 @@ from medsampler.density import (
     make_product_prior,
     make_uniform,
 )
-from medsampler.errors import (
-    ConfigError,
-    DensityProtocolError,
-    SingularCovarianceError,
-)
+from medsampler.errors import ConfigError, DensityProtocolError
 from medsampler.fileio import ledger_digest
 from medsampler.geometry import LOGF_FLOOR
 
@@ -146,8 +142,14 @@ class TestAr1Normal:
                 assert m.logf_original(x) == pytest.approx(want, abs=1e-10)
 
     def test_rho_one_is_singular(self):
-        with pytest.raises(SingularCovarianceError):
+        # a singular covariance is a configuration error like any rho outside [0, 1)
+        with pytest.raises(ConfigError, match="rho"):
             make_ar1_normal(5, 1.0, 1 / 8)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_is_config_error(self, sigma):
+        with pytest.raises(ConfigError, match="sigma"):
+            make_ar1_normal(3, 0.5, sigma)
 
     def test_invalid_arguments(self):
         with pytest.raises(ConfigError):
@@ -186,6 +188,16 @@ class TestPiecewisePrior:
     def test_invalid_interval(self):
         with pytest.raises(ConfigError):
             make_piecewise_prior(1.0, 0.5, 1.0, 1.0)
+
+    def test_nan_tail_rate_is_config_error(self):
+        with pytest.raises(ConfigError):
+            make_piecewise_prior(0.0, 1.0, float("nan"), 1.0)
+
+    @pytest.mark.parametrize("hi", [float("inf"), float("nan")])
+    def test_non_finite_box_is_config_error(self, hi):
+        factor = make_piecewise_prior(0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="box"):
+            make_product_prior([factor], box=np.array([[0.0, hi]]))
 
 
 def child_script(tmp_path, body, name="child.py"):
@@ -302,6 +314,11 @@ class TestExternal:
             assert eval_logf(m, np.array([0.1]), ledger) == 1.0
             assert eval_logf(m, np.array([0.2]), ledger) == 1.0
             assert ledger.count == 2
+
+    def test_nan_timeout_is_config_error(self, tmp_path):
+        cmd = child_script(tmp_path, ECHO_CHILD)
+        with pytest.raises(ConfigError, match="timeout"):
+            make_external(cmd, timeout=float("nan"), max_concurrency=1, p=1).close()
 
     def test_timeout_then_abort(self, tmp_path):
         body = """

@@ -778,6 +778,17 @@ class TestRunProperties:
         assert report.ledger.count == 39
         assert len(design.points) == 13
 
+    def test_caller_ledger_with_records_gives_the_same_design(self):
+        cfg = RunConfig(seed=1, n=13, K=3)
+        fresh, _ = run(make_banana(), cfg)
+        ledger = EvaluationLedger()
+        for i in range(50):
+            ledger.append(np.full(2, i / 50), 0.0, 0.0)
+        design, report = run(make_banana(), cfg, ledger=ledger)
+        assert ledger.count == 50 + 39
+        assert report.budget == 39
+        assert np.array_equal(design.points, fresh.points)
+
     def test_caller_ledger_survives_mid_run_failure(self):
         calls = {"n": 0}
 
