@@ -48,16 +48,22 @@ from .qmc import hammersley
 # perfbench/tracer.py wraps cli.default_theta and cli.predict; keep them importable.
 from .surrogate import default_theta, fit, predict  # noqa: F401
 
-# The flags each density is built from besides --density, all required (--timeout
-# has a default).  manifest.json echoes them with the model's p, and --box, which
-# prior and external read, whenever it is given.
+# Per density, the flags it is built from besides --density: those it needs, then
+# those it may take.  Any other density flag is a usage error.  manifest.json
+# echoes the needed flags with the model's p, and --box whenever it is given.
 DENSITY_FLAGS = {
-    "banana": (),
-    "uniform": ("p",),
-    "ar1": ("p", "rho", "sigma"),
-    "prior": ("prior",),
-    "external": ("cmd", "p", "timeout"),
+    "banana": ((), ()),
+    "uniform": (("p",), ()),
+    "ar1": (("p", "rho", "sigma"), ()),
+    "prior": (("prior",), ("box",)),
+    "external": (("cmd", "p", "timeout"), ("box", "threads")),
 }
+_ALL_DENSITY_FLAGS = tuple(
+    dict.fromkeys(f for need, take in DENSITY_FLAGS.values() for f in need + take)
+)
+# external's --timeout when none is given; the flag has no argparse default, so
+# that a --timeout given to another density is seen
+EXTERNAL_TIMEOUT = 30.0
 
 
 def _parse_groups(flag: str, text: str, names: tuple[str, ...], count: int | None = None):
@@ -93,7 +99,17 @@ def _build_density(args) -> DensityModel:
     name = args.density
     if name is None:
         raise ConfigError("--density is required")
-    missing = [f"--{flag}" for flag in DENSITY_FLAGS[name] if getattr(args, flag) is None]
+    needed, optional = DENSITY_FLAGS[name]
+    stray = [
+        f"--{flag}"
+        for flag in _ALL_DENSITY_FLAGS
+        if flag not in needed + optional and getattr(args, flag) is not None
+    ]
+    if stray:
+        raise ConfigError(f"--density {name} does not take {' or '.join(stray)}")
+    if name == "external" and args.timeout is None:
+        args.timeout = EXTERNAL_TIMEOUT
+    missing = [f"--{flag}" for flag in needed if getattr(args, flag) is None]
     if missing:
         raise ConfigError(f"--density {name} needs {' and '.join(missing)}")
     if name == "banana":
@@ -119,7 +135,7 @@ def _build_density(args) -> DensityModel:
 
 
 def _density_echo(args, model: DensityModel) -> dict:
-    echo = {flag: getattr(args, flag) for flag in DENSITY_FLAGS[args.density]}
+    echo = {flag: getattr(args, flag) for flag in DENSITY_FLAGS[args.density][0]}
     echo.update(name=args.density, p=model.p)
     if args.box:
         echo["box"] = args.box
@@ -199,7 +215,6 @@ def _report_dict(report: RunReport) -> dict:
             }
             for st in report.stages
         ],
-        "theta_sensitivity": report.theta_sensitivity,
         "notes": report.notes,
     }
 
@@ -380,6 +395,8 @@ def cmd_bench(args) -> int:
         ps = [int(v) for v in args.sweep.split(",") if v.strip()] if args.sweep else [args.p]
     except ValueError:
         raise ConfigError(f"--sweep takes p values joined by ',', got {args.sweep!r}") from None
+    if args.sweep and args.density in DENSITY_FLAGS and "p" not in DENSITY_FLAGS[args.density][0]:
+        raise ConfigError(f"--sweep varies --p, which --density {args.density} does not take")
     with contextlib.ExitStack() as stack:
         models = []
         # every model is built and checked before the first run starts
@@ -387,8 +404,6 @@ def cmd_bench(args) -> int:
             args.p = p
             model = stack.enter_context(_build_density(args))
             _require_truth(args, model)
-            if args.sweep and model.p != p:
-                raise ConfigError(f"--sweep varies p, but {args.density} has dimension {model.p}")
             models.append(model)
         entries = [_bench_one(args, model, seeds) for model in models]
     out = Path(args.out)
@@ -406,7 +421,9 @@ def _add_density_flags(sub) -> None:
     sub.add_argument("--sigma", type=float)
     sub.add_argument("--prior", help="factor quadruples a,b,rate_lo,rate_hi joined by ';'")
     sub.add_argument("--cmd", help="external evaluator command line")
-    sub.add_argument("--timeout", type=float, default=30.0)
+    sub.add_argument(
+        "--timeout", type=float, help=f"seconds per evaluator call (default {EXTERNAL_TIMEOUT:g})"
+    )
     sub.add_argument("--threads", type=int, help="external evaluator concurrency (MED_THREADS)")
     sub.add_argument("--box", help="original-scale bounds lo,hi per dimension joined by ';'")
 

@@ -101,10 +101,6 @@ class DensityModel:
         lo, hi = self.box[:, 0], self.box[:, 1]
         return lo + np.asarray(u, dtype=float) * (hi - lo)
 
-    def to_unit(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = self.box[:, 0], self.box[:, 1]
-        return (np.asarray(x, dtype=float) - lo) / (hi - lo)
-
     @property
     def has_identity_box(self) -> bool:
         return bool(np.all(self.box[:, 0] == 0.0) and np.all(self.box[:, 1] == 1.0))

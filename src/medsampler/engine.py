@@ -23,7 +23,7 @@ from math import ceil, isfinite, sqrt
 import numpy as np
 
 from .density import DensityModel, EvaluationLedger, eval_batch, eval_logf
-from .errors import CandidatePoolError, ConfigError, MedError
+from .errors import ConfigError, MedError
 from .geometry import (
     DistanceSpec,
     identity_spec,
@@ -37,18 +37,12 @@ from .qmc import (
     N_COMBOS,
     LatticeRule,
     cbc_lattice,
-    halton_block,
     largest_prime_below,
     local_candidates,
 )
-from .surrogate import (
-    JITTER_START,
-    TRAINING_CAP,
-    default_theta,
-    fit,
-    predict,
-    theta_sensitivity,
-)
+from .surrogate import JITTER_START, TRAINING_CAP, fit, predict
+# perfbench/tracer.py wraps engine.default_theta and engine.theta_sensitivity; keep them importable.
+from .surrogate import default_theta, theta_sensitivity  # noqa: F401
 
 # Covariance estimates are shrunk toward their own diagonal past this condition.
 SIGMA_CONDITION_LIMIT = 1e6
@@ -132,7 +126,6 @@ class RunReport:
     config: dict
     gammas: list[float]
     stages: list[StageReport]
-    theta_sensitivity: float | None
     notes: dict[str, str]
     ledger: EvaluationLedger
     total_seconds: float
@@ -326,12 +319,6 @@ def _argmax_min_term(
     return best, float(scores[best])
 
 
-def _inflated_region(region: np.ndarray) -> np.ndarray:
-    lo = np.clip(region.min(axis=0) - 0.05, 0.0, 1.0)
-    hi = np.clip(region.max(axis=0) + 0.05, 0.0, 1.0)
-    return np.vstack([region, lo, hi])
-
-
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """``np.argsort(d2, kind="stable")[:k]`` without sorting all of ``d2``.
 
@@ -376,13 +363,7 @@ def propose_new_points(
         region = state.pts[nearest]
         train = nearest[: min(len(nearest), TRAINING_CAP)]
 
-        existing = state.all_points()
-        try:
-            pool = local_candidates(center, region, state.m, N_COMBOS, existing, rng)
-        except CandidatePoolError:
-            pool = local_candidates(
-                center, _inflated_region(region), state.m, N_COMBOS, existing, rng
-            )
+        pool = local_candidates(center, region, state.m, N_COMBOS, state.all_points(), rng)
 
         surrogate = fit(state.pts[train], state.logf[train], cfg.theta)
         yhat = np.atleast_1d(predict(surrogate, pool))
@@ -478,20 +459,6 @@ def _stage_report(design: Design, metric: tuple, t0: float) -> StageReport:
         psi_tilde_log=psi_log(design.points, design.logf, design.gamma, spec_white).value,
         seconds=time.perf_counter() - t0,
     )
-
-
-def _theta_sensitivity_metric(design: Design, config: RunConfig) -> float | None:
-    try:
-        cap = min(len(design), TRAINING_CAP)
-        x = design.points[:cap]
-        y = design.logf[:cap]
-        lo = x.min(axis=0)
-        hi = np.maximum(x.max(axis=0), lo + 1e-9)
-        probes = lo[None, :] + halton_block(0, 50, x.shape[1]) * (hi - lo)[None, :]
-        theta = config.theta if config.theta is not None else default_theta(x)
-        return theta_sensitivity(x, y, theta, probes)
-    except MedError:
-        return None
 
 
 def run(
@@ -591,7 +558,6 @@ def run(
         },
         gammas=[float(g) for g in schedule.gammas],
         stages=stages,
-        theta_sensitivity=_theta_sensitivity_metric(design, config),
         notes={
             "lattice": "rank-1 CBC, Bernoulli-2 kernel, product weights 1/l^2, naive search",
             "selection_gamma": "both selection passes use the stage target level",

@@ -14,7 +14,7 @@ class SurrogateFitError(MedError):
 
 
 class CandidatePoolError(MedError):
-    """A local candidate pool came up empty, also on its retry in an inflated region."""
+    """A local candidate pool could not place its candidates at the separation."""
 
 
 class DensityProtocolError(MedError):

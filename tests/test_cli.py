@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface, run in-process through ``main``."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import medsampler
 from medsampler.cli import _ks_uniform, main
 from medsampler.density import make_banana
 from medsampler.fileio import fmt, read_design, read_ledger, read_samples
@@ -131,6 +135,30 @@ class TestGenerate:
             main(["generate", "--density", "banana"])
         assert err.value.code == 2
 
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the ar1 p=10 reference config, cut to two stages; each run is a
+        # fresh process, since BLAS reads its thread count when it loads
+        path = [str(Path(medsampler.__file__).resolve().parents[1])]
+        path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(path),
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "MKL_NUM_THREADS": threads,
+            }
+            subprocess.run(
+                [sys.executable, "-m", "medsampler.cli", "generate", "--density", "ar1",
+                 "--p", "10", "--rho", "0.9", "--sigma", "0.125", "--K", "2", "--seed", "0",
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
 
 def test_bad_med_threads_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MED_THREADS", "abc")
@@ -236,6 +264,28 @@ class TestDensityFlags:
     def test_bad_setting_is_usage_error(self, tmp_path, flags):
         assert main(["generate", *flags, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, stray",
+        [
+            (["--density", "banana", "--box=0,1"], "--box"),
+            (["--density", "banana", "--p", "2"], "--p"),
+            (["--density", "prior", "--prior", "0,1,2,2", "--p", "1"], "--p"),
+            (["--density", "uniform", "--p", "2", "--rho", "0.5"], "--rho"),
+            (["--density", "uniform", "--p", "2", "--timeout", "30"], "--timeout"),
+            (
+                ["--density", "ar1", "--p", "2", "--rho", "0.5", "--sigma", "0.2", "--threads", "2"],
+                "--threads",
+            ),
+        ],
+        ids=["banana-box", "banana-p", "prior-p", "uniform-rho", "uniform-timeout", "ar1-threads"],
+    )
+    def test_flag_the_density_does_not_take_is_usage_error(self, tmp_path, capsys, flags, stray):
+        out = tmp_path / "x"
+        code = main(["generate", *flags, "--n", "6", "--K", "2", "--out", str(out)])
+        assert code == 2
+        assert stray in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_fills_missing_flags(self, tmp_path):
@@ -253,6 +303,12 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert main(["generate", "--config", str(cfg), "--n", "14", "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["n"] == 14
+
+    def test_density_flag_the_density_does_not_take_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"density": "banana", "box": "0,1", "n": 6, "K": 2}))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "--box" in capsys.readouterr().err
 
     def test_unknown_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -632,48 +632,24 @@ class TestProposeNewPoints:
             assert np.array_equal(got_x, want_x)
             assert np.array_equal(got_logf, want_logf)
 
-    def test_empty_pool_retries_with_inflated_region_then_fails(self, monkeypatch):
-        model = make_uniform(2)
-        design = Design(
-            points=np.array([[0.5, 0.5]]), logf=np.array([0.0]), stage=1, gamma=0.0
-        )
-        calls = []
-
-        def failing(center, region, *args, **kwargs):
-            calls.append(region.copy())
-            raise CandidatePoolError("no room")
-
-        monkeypatch.setattr("medsampler.engine.local_candidates", failing)
-        state = make_state(model, EvaluationLedger(), design.points, design.logf)
-        with pytest.raises(CandidatePoolError):
-            propose_new_points(design, state, gamma_next=1.0)
-        assert len(calls) == 2
-        # the retry saw a strictly larger region
-        assert calls[1].min() < calls[0].min() or calls[1].max() > calls[0].max()
-
-    def test_retry_succeeds_after_one_failure(self, monkeypatch):
+    def test_empty_pool_leaves_after_one_call(self, monkeypatch):
         model = make_uniform(2)
         ledger = EvaluationLedger()
         design = Design(
             points=np.array([[0.5, 0.5]]), logf=np.array([0.0]), stage=1, gamma=0.0
         )
-        attempts = {"n": 0}
+        calls = []
 
-        def flaky(center, region, *args, **kwargs):
-            attempts["n"] += 1
-            if attempts["n"] == 1:
-                raise CandidatePoolError("no room")
-            return fixed_pool([[0.25, 0.25], [0.75, 0.75]])
+        def failing(*args, **kwargs):
+            calls.append(args)
+            raise CandidatePoolError("no room")
 
-        monkeypatch.setattr("medsampler.engine.local_candidates", flaky)
-        monkeypatch.setattr(
-            "medsampler.engine.predict", lambda sm, x: np.zeros(len(x))
-        )
-        new_pts, _ = propose_new_points(design, state := make_state(
-            model, ledger, design.points, design.logf
-        ), gamma_next=1.0)
-        assert attempts["n"] == 2
-        assert len(new_pts) == 1 and ledger.count == 1
+        monkeypatch.setattr("medsampler.engine.local_candidates", failing)
+        state = make_state(model, ledger, design.points, design.logf)
+        with pytest.raises(CandidatePoolError):
+            propose_new_points(design, state, gamma_next=1.0)
+        assert len(calls) == 1
+        assert ledger.count == 0
 
 
 # ---------------------------------------------------------------- full runs
