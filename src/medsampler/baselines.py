@@ -16,7 +16,7 @@ import numpy as np
 from .density import DensityModel, EvaluationLedger, eval_logf
 from .engine import Design
 from .errors import ConfigError
-from .surrogate import SurrogateModel, predict, predict_rows
+from .surrogate import SurrogateModel, predict
 
 TARGET_ACCEPT = 0.234
 
@@ -70,6 +70,8 @@ def _check_spec(spec: ChainSpec, p: int) -> np.ndarray:
         raise ConfigError("start point must lie in the unit cube")
     if spec.length < 1:
         raise ConfigError(f"chain length must be >= 1, got {spec.length}")
+    if spec.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {spec.seed}")
     return _proposal_factor(spec.scale, p)
 
 
@@ -178,12 +180,14 @@ def followup_mcmc(
     The chains advance in lockstep: round t steps every chain whose length is
     at least t, with one correlation block for the round's in-cube proposals
     and one stacked update of the proposal factors.  Each chain draws from its
-    own stream in the order a chain run alone would, and ``predict_rows``
-    gives each proposal its one-point value, so the samples are bit for bit
-    those of running the chains one after another.  ``logf`` holds each
-    stored state's surrogate value as its chain knew it, which is therefore
-    ``predict(surrogate, state)`` to the last bit.
+    own stream in the order a chain run alone would, and ``predict`` gives
+    each start and each proposal its one-point value, so the samples are bit
+    for bit those of running the chains one after another.  ``logf`` holds
+    each stored state's surrogate value as its chain knew it, which is
+    therefore ``predict(surrogate, state)`` to the last bit.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     points = np.atleast_2d(np.asarray(med.points, dtype=float))
     n, p = points.shape
     lengths, _ = chain_lengths(med.logf, N)
@@ -198,7 +202,7 @@ def followup_mcmc(
         for i in order
     ]
     x = points[order]
-    current = [float(predict(surrogate, row)) for row in x]
+    current = predict(surrogate, x).tolist()
     S = np.repeat(S0[None], n, axis=0)
     u = np.empty((n, p))
     samples = np.empty((int(lengths.sum()), p))
@@ -212,7 +216,7 @@ def followup_mcmc(
         inside = np.flatnonzero(np.all((proposal >= 0.0) & (proposal <= 1.0), axis=1))
         alpha = np.zeros(a)
         if len(inside):
-            values = predict_rows(surrogate, proposal[inside])
+            values = predict(surrogate, proposal[inside])
             for j, value in zip(inside.tolist(), values.tolist()):
                 alpha[j] = prob = min(1.0, math.exp(min(value - current[j], 0.0)))
                 if prob > 0.0 and rngs[j].random() < prob:

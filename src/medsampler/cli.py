@@ -281,6 +281,10 @@ def _design_of(path) -> Design:
 
 
 def cmd_diagnose(args) -> int:
+    if not args.truth:
+        given = [f"--{f}" for f in ("density", *_ALL_DENSITY_FLAGS) if getattr(args, f) is not None]
+        if given:
+            raise ConfigError(f"diagnose reads {' and '.join(given)} only with --truth")
     design = _design_of(args.design)
     points = design.points
     # CL2 and the (0, 1) marginal histograms are defined on the unit cube only
@@ -395,6 +399,8 @@ def cmd_bench(args) -> int:
         ps = [int(v) for v in args.sweep.split(",") if v.strip()] if args.sweep else [args.p]
     except ValueError:
         raise ConfigError(f"--sweep takes p values joined by ',', got {args.sweep!r}") from None
+    if args.sweep and args.p is not None:
+        raise ConfigError("--sweep sets the dimension; drop --p")
     if args.sweep and args.density in DENSITY_FLAGS and "p" not in DENSITY_FLAGS[args.density][0]:
         raise ConfigError(f"--sweep varies --p, which --density {args.density} does not take")
     with contextlib.ExitStack() as stack:

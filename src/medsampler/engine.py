@@ -145,7 +145,6 @@ class StageState:
     ledger: EvaluationLedger
     stage_next: int
     m: int
-    s: float
     spec_white: DistanceSpec
     pts: np.ndarray
     logf: np.ndarray
@@ -211,7 +210,9 @@ def update_sigma(
 
 
 def _check_config(config: RunConfig) -> None:
-    """Reject the exponent and correlation settings no stage could use."""
+    """Reject the seed, exponent and correlation settings no stage could use."""
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.s_mode not in ("adaptive", "fixed"):
         raise ConfigError(f"s_mode must be 'adaptive' or 'fixed', got {config.s_mode!r}")
     if not (isfinite(config.s_value) and config.s_value >= 0.0):
@@ -257,9 +258,9 @@ def _argmax_min_term(
     The bound's argmax is completed to a true score, the level, and
     candidates whose bound falls short of it never reach the exact kernel.
     The survivors are scored exactly in chunks of 8, 16, 32, 64, then 128,
-    pruned against the level after each chunk.  If the level is -inf (the
-    front-runner coincides with a conditioning point in the metric), nothing
-    is pruned until a chunk's front-runner completes to a finite score.
+    pruned against the level after each chunk.  A level of -inf (the
+    front-runner coincides with a conditioning point in the metric) prunes
+    nothing, so every candidate is then scored in full.
 
     The proxy only orders the scan and the bound only prunes: every score
     comes from ``log_dist_block`` and the min is order-free, so the result
@@ -287,7 +288,7 @@ def _argmax_min_term(
     ub = np.full(m, np.inf)
     full = cand_part[lead] + cond_part + two_p * log_dist_block(cand[lead : lead + 1], cond, s)[0]
     level = ub[lead] = full.min()
-    alive = bound >= level if level > -np.inf else np.ones(m, dtype=bool)
+    alive = bound >= level
     # the front-runner's score is complete; the chunks score the others
     alive[lead] = False
     pos = 0
@@ -302,17 +303,7 @@ def _argmax_min_term(
         terms += logd
         ub[idx] = np.minimum(ub[idx], terms.min(axis=1))
         pos = stop
-        if level == -np.inf and pos < total:
-            star = idx[int(np.argmax(ub[idx]))]
-            tail = (
-                cand_part[star]
-                + cond_part[pos:]
-                + two_p * log_dist_block(cand[star : star + 1], cond[pos:], s)[0]
-            )
-            ub[star] = min(ub[star], float(tail.min()))
-            level = ub[star]
-        if level > -np.inf:
-            alive &= ub >= level
+        alive &= ub >= level
     alive[lead] = True
     scores = np.where(alive, ub, -np.inf)
     best = int(np.argmax(scores))
@@ -374,7 +365,7 @@ def propose_new_points(
             gamma_next * yhat,
             cond[:size],
             gamma_next * cond_logf[:size],
-            state.s,
+            state.spec_white.s,
             center,
         )
 
@@ -437,23 +428,21 @@ def _initial_lattice(n: int, p: int, seed: int) -> LatticeRule:
 
 def _stage_metric(
     design: Design, gamma_k: float, gamma_next: float, config: RunConfig
-) -> tuple[float, np.ndarray, DistanceSpec, DistanceSpec]:
-    """Metric of the stage that starts from ``design``: (s, sigma, plain, white)."""
+) -> tuple[np.ndarray, DistanceSpec, DistanceSpec]:
+    """Metric of the stage that starts from ``design``: (sigma, plain, white)."""
     p = design.points.shape[1]
     s = _resolve_s(design.logf, gamma_k, config)
     sigma = update_sigma(design.points, gamma_k, gamma_next, config.whitening)
-    spec_plain = identity_spec(p, s)
-    spec_white = spec_from_sigma(sigma, s=s) if config.whitening else spec_plain
-    return s, sigma, spec_plain, spec_white
+    return sigma, identity_spec(p, s), spec_from_sigma(sigma, s=s)
 
 
 def _stage_report(design: Design, metric: tuple, t0: float) -> StageReport:
     """Stage summary of ``design`` under ``metric``; seconds counted from ``t0``."""
-    s, sigma, spec_plain, spec_white = metric
+    sigma, spec_plain, spec_white = metric
     return StageReport(
         stage=design.stage,
         gamma=design.gamma,
-        s=s,
+        s=spec_white.s,
         sigma_cond=float(np.linalg.cond(sigma)),
         psi_log=psi_log(design.points, design.logf, design.gamma, spec_plain).value,
         psi_tilde_log=psi_log(design.points, design.logf, design.gamma, spec_white).value,
@@ -510,7 +499,7 @@ def run(
         gamma_next = float(schedule.gammas[k_next - 1])
         if k_next > 2:
             metric = _stage_metric(design, gamma_k, gamma_next, config)
-        s, _, _, spec_white = metric
+        _, _, spec_white = metric
 
         buf_white[:count] = spec_white.whiten(buf_pts[:count])
         state = StageState(
@@ -519,7 +508,6 @@ def run(
             ledger=ledger,
             stage_next=k_next,
             m=m,
-            s=s,
             spec_white=spec_white,
             pts=buf_pts,
             logf=buf_logf,

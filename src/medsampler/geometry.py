@@ -58,15 +58,8 @@ class DistanceSpec:
     def is_product_form(self) -> bool:
         return self.s < S_ZERO_THRESHOLD
 
-    @property
-    def is_identity(self) -> bool:
-        p = self.whitener.shape[0]
-        return bool(np.array_equal(self.whitener, np.eye(p)))
-
     def whiten(self, points: np.ndarray) -> np.ndarray:
         """Apply the whitening transform to a point (p,) or block (m, p)."""
-        if self.is_identity:
-            return points
         return points @ self.whitener.T
 
 

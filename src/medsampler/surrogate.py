@@ -178,25 +178,16 @@ def predict(model: SurrogateModel, x: np.ndarray) -> float | np.ndarray:
 
     Queries whose denominator magnitude drops below 1e-12 (far from all
     training points) fall back to the generalized-least-squares mean of y.
-    A block holds one (m, k) correlation matrix, and its products with the
-    two solves are BLAS ``gemv`` calls (see ``predict_rows``).
+    A block holds one (m, k) correlation matrix, and each row's value has
+    the bits of its one-point prediction: the stacked product
+    (m, 1, k) @ (k,) runs numpy's one-point ``dot`` per row, where a
+    (m, k) @ (k,) product is a ``gemv`` whose last bits depend on the block.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    r = _correlation(model, np.atleast_2d(x))
-    out = _ratio(model, r @ model.rinv_y, r @ model.rinv_one)
+    r = _correlation(model, np.atleast_2d(x))[:, None, :]
+    out = _ratio(model, (r @ model.rinv_y)[:, 0], (r @ model.rinv_one)[:, 0])
     return float(out[0]) if single else out
-
-
-def predict_rows(model: SurrogateModel, xs: np.ndarray) -> np.ndarray:
-    """``predict(model, row)`` for each row of ``xs`` (m, p), from one correlation block.
-
-    Each row's value has the bits of its one-point prediction: the stacked
-    product (m, 1, k) @ (k,) runs numpy's one-point ``dot`` per row, where
-    ``predict``'s block product is a ``gemv`` whose last bits differ.
-    """
-    r = _correlation(model, np.atleast_2d(np.asarray(xs, dtype=float)))[:, None, :]
-    return _ratio(model, (r @ model.rinv_y)[:, 0], (r @ model.rinv_one)[:, 0])
 
 
 def theta_sensitivity(

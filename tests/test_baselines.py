@@ -57,6 +57,11 @@ class TestChainSpecValidation:
         with pytest.raises(ConfigError):
             run_chain(model, [0.5, 0.5], 10, budget=0)
 
+    def test_negative_seed_rejected(self):
+        model = make_uniform(2)
+        with pytest.raises(ConfigError):
+            run_chain(model, [0.5, 0.5], 10, seed=-1)
+
 
 class TestAdaptiveMetropolis:
     def test_flat_density_accepts_every_interior_proposal(self):

@@ -123,6 +123,7 @@ class TestGenerate:
             (["--s-mode", "fixed", "--s-value", "-1"], "s_value"),
             (["--s-value", "nan"], "s_value"),
             (["--theta", "nan"], "theta"),
+            (["--seed", "-1"], "seed"),
         ],
     )
     def test_bad_exponent_or_theta_is_usage_error(self, tmp_path, capsys, flags, name):
@@ -441,6 +442,18 @@ class TestDiagnose:
         )
         assert code == 2
 
+    def test_density_flags_without_truth_are_usage_error(self, tmp_path, capsys):
+        run = generate(tmp_path)
+        out = tmp_path / "d"
+        code = main(
+            ["diagnose", "--design", str(run / "design.csv"), "--out", str(out),
+             "--density", "uniform", "--p", "7", "--rho", "3"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--density" in err and "--p" in err and "--rho" in err and "--truth" in err
+        assert not out.exists()
+
     def test_malformed_cell_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2,logf,stage\n0.1,zap,0.0,1\n")
@@ -510,6 +523,12 @@ class TestFollowup:
         assert len(samples) >= 150
         for row, value in zip(samples, logf):
             assert value == predict(surrogate, row)
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        run = generate(tmp_path)
+        assert main(["followup", "--run", str(run), "--N", "100", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (run / "samples.csv").exists()
 
     def test_out_into_missing_directory(self, tmp_path):
         run = generate(tmp_path)
@@ -595,7 +614,9 @@ class TestBench:
         assert [entry["p"] for entry in comp["sweep"]] == [1, 3]
 
     @pytest.mark.parametrize(
-        "flags", [["--seeds", "0"], ["--sweep", "1,a"]], ids=["seeds", "sweep"]
+        "flags",
+        [["--seeds", "0"], ["--sweep", "1,a"], ["--sweep", "1,2"]],
+        ids=["seeds", "sweep", "sweep-with-p"],
     )
     def test_bad_seeds_or_sweep_is_usage_error(self, tmp_path, capsys, flags):
         code, _ = self.run_bench(tmp_path, flags)

@@ -2,9 +2,10 @@
 
 The banana and ar1 p=10 digests are those of the seed-0 reference runs
 recorded with the benchmark (``perfbench/digests.json``); the p=30 one is the
-criterion-1 run's.  Any change to an evaluated point or value changes them; a
-change that does so on purpose must say so and pin the new values.  All three
-runs are session fixtures that other tests build anyway.
+criterion-1 run's, and the whitening-off ar1 p=10 one criterion 5's.  Any
+change to an evaluated point or value changes them; a change that does so on
+purpose must say so and pin the new values.  All four runs are session
+fixtures that other tests build anyway.
 
 The banana follow-up (criterion 3's fixture) is pinned by equality with the
 one-chain-at-a-time oracle of ``test_baselines``, not by a hash: the sha256
@@ -29,6 +30,8 @@ BANANA_DIGEST = "e3d31134b7b4a103292c77f4e1ab900a226058333f4bd910b5f014df31b2bd9
 BANANA_REPORT_SHA256 = "2b5aa4d319d135add3c4150288ab01eaf8dbfbf78c344aa125f46a96653a5ca7"
 # make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0)
 AR1_P10_DIGEST = "44c295ddcad2b3420e27700290fca8e82aaec2df77f6e0d821b5e1501d71ae5c"
+# make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0, whitening=False)
+AR1_P10_UNWHITENED_DIGEST = "7f8114eb8dc23475634f06f00f4e9495af8614c027f155bf12a2413ade97e97c"
 # make_ar1_normal(30, 0.9 ** log(30), 0.125), RunConfig(seed=0)
 AR1_P30_DIGEST = "1b690699629e2154e3e71843da4a5daf2f8ae8aa0f5645f060389e565210c4ec"
 
@@ -50,6 +53,12 @@ def test_banana_default_report_bytes(banana_default):
 def test_ar1_p10_digest(p10_correlated):
     _, report, _ = p10_correlated
     assert ledger_digest(report.ledger) == AR1_P10_DIGEST
+
+
+def test_ar1_p10_unwhitened_digest(p10_correlated_unwhitened):
+    # the identity metric goes through the same whitening product as any other
+    _, report, _ = p10_correlated_unwhitened
+    assert ledger_digest(report.ledger) == AR1_P10_UNWHITENED_DIGEST
 
 
 def test_ar1_p30_digest(p30_run):

@@ -491,7 +491,6 @@ def make_state(model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None)
         ledger=ledger,
         stage_next=stage_next,
         m=m,
-        s=s,
         spec_white=spec,
         pts=buf_pts,
         logf=buf_logf,
@@ -804,6 +803,7 @@ class TestRunProperties:
             {"theta": float("nan")},
             {"theta": float("inf")},
             {"theta": 0.0},
+            {"seed": -1},
         ],
     )
     def test_invalid_exponent_or_theta_rejected_before_any_call(self, bad):

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 import medsampler.surrogate as sg
 from medsampler.errors import ConfigError, SurrogateFitError
-from medsampler.surrogate import default_theta, fit, predict, predict_rows, theta_sensitivity
+from medsampler.surrogate import default_theta, fit, predict, theta_sensitivity
 
 
 class TestFit:
@@ -261,16 +261,17 @@ class TestPredict:
         assert peak <= 1.25 * 8 * m * k
 
     def test_rows_match_one_point_predictions(self):
-        """``predict_rows`` gives every row the bits of its own ``predict``
-        call, including rows far enough away to take the GLS mean."""
+        """A block gives every row the bits of its own one-point ``predict``
+        call, including a row far enough away to take the GLS mean.  The
+        shapes are pass-1 pools against capped training sets at p = 10, 2
+        and 30."""
         rng = np.random.default_rng(11)
-        x = rng.random((300, 3))
-        y = rng.normal(size=300) * 30.0
-        model = fit(x, y)
-        q = np.vstack([rng.random((97, 3)), [[40.0, 40.0, 40.0]]])
-        rows = predict_rows(model, q)
-        assert rows[-1] == model.gls_mean
-        assert np.array_equal(rows, [predict(model, qi) for qi in q])
+        for m, k, p in [(505, 149, 10), (105, 109, 2), (1505, 200, 30)]:
+            model = fit(rng.random((k, p)), rng.normal(size=k) * 30.0)
+            q = np.vstack([rng.random((m - 1, p)), np.full((1, p), 40.0)])
+            rows = predict(model, q)
+            assert rows[-1] == model.gls_mean
+            assert np.array_equal(rows, [predict(model, qi) for qi in q])
 
 
 class TestTheta:
