@@ -394,15 +394,22 @@ def _bench_one(args, model: DensityModel, seeds: list[int]) -> dict:
 def cmd_bench(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.seed is not None:
+        raise ConfigError("bench runs seeds 0..--seeds-1; drop --seed")
     seeds = list(range(args.seeds))
-    try:
-        ps = [int(v) for v in args.sweep.split(",") if v.strip()] if args.sweep else [args.p]
-    except ValueError:
-        raise ConfigError(f"--sweep takes p values joined by ',', got {args.sweep!r}") from None
-    if args.sweep and args.p is not None:
-        raise ConfigError("--sweep sets the dimension; drop --p")
-    if args.sweep and args.density in DENSITY_FLAGS and "p" not in DENSITY_FLAGS[args.density][0]:
-        raise ConfigError(f"--sweep varies --p, which --density {args.density} does not take")
+    sweep = args.sweep is not None
+    ps = [args.p]
+    if sweep:
+        try:
+            ps = [int(v) for v in args.sweep.split(",") if v.strip()]
+        except ValueError:
+            ps = []
+        if not ps:
+            raise ConfigError(f"--sweep takes p values joined by ',', got {args.sweep!r}")
+        if args.p is not None:
+            raise ConfigError("--sweep sets the dimension; drop --p")
+        if args.density in DENSITY_FLAGS and "p" not in DENSITY_FLAGS[args.density][0]:
+            raise ConfigError(f"--sweep varies --p, which --density {args.density} does not take")
     with contextlib.ExitStack() as stack:
         models = []
         # every model is built and checked before the first run starts
@@ -414,7 +421,7 @@ def cmd_bench(args) -> int:
         entries = [_bench_one(args, model, seeds) for model in models]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"seeds": seeds, "sweep": entries} if args.sweep else {"seeds": seeds, **entries[0]}
+    payload = {"seeds": seeds, "sweep": entries} if sweep else {"seeds": seeds, **entries[0]}
     write_json(out / "comparison.json", payload)
     print(f"benchmark -> {out / 'comparison.json'}")
     return 0

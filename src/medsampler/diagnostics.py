@@ -15,7 +15,16 @@ from scipy.special import gammaln
 
 from .engine import Design
 from .errors import ConfigError
-from .geometry import BLOCK_ELEMENTS, dim_sum_block, identity_spec, pair_term_matrix, psi_log
+from .geometry import dim_sum_block, identity_spec, pair_term_matrix, psi_log
+
+# Row budget of the CL2 cross term, rows * n * p <= BLOCK_ELEMENTS (or one
+# row).  It sums leaves of at most rows * n products (or 128), each in three
+# (rows + 1, n) buffers, so it holds about 3 * BLOCK_ELEMENTS / p values and no
+# (n, n) matrix.  It is kept apart from geometry's smaller kernel budget:
+# each leaf is a Python-level step, and at 2**16 a (1937, 10) CL2 runs 20
+# times as many leaves and took 1.4 to 2 times as long (213 -> 294 ms and
+# 169 -> 330 ms in two measurements on a 2-vCPU Xeon).
+BLOCK_ELEMENTS = 1 << 20
 
 # numpy's pairwise summation adds ranges of at most this many values in one
 # unrolled loop and splits longer ones in two (PW_BLOCKSIZE in its loops).

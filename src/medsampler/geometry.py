@@ -33,12 +33,12 @@ S_ZERO_THRESHOLD = 1e-8
 # Sentinel floor for log densities; values at or below this mean "zero density".
 LOGF_FLOOR = -1e10
 
-# Row budget of the row-blocked kernels, rows * j * p <= BLOCK_ELEMENTS (or one
-# row).  dim_sum_block here holds one (rows, j, p) block, at most 8 MB of
-# float64.  The CL2 cross term in diagnostics sums leaves of at most rows * n
-# products (or 128), each in three (rows + 1, n) buffers, so it holds about
-# 3 * BLOCK_ELEMENTS / p values and no (n, n) matrix.
-BLOCK_ELEMENTS = 1 << 20
+# Row budget of dim_sum_block, rows * j * p <= BLOCK_ELEMENTS (or one row):
+# one (rows, j, p) block of at most 512 KB of float64, so the block and its
+# (rows, j) result stay in a 2 MB L2 cache.  The block size changes no bit
+# (each pair is numpy's sum over its p contiguous values), only how much
+# scratch a many-survivor pass-1 scan or a stage's psi holds at once.
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)

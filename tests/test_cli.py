@@ -615,13 +615,26 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--seeds", "0"], ["--sweep", "1,a"], ["--sweep", "1,2"]],
-        ids=["seeds", "sweep", "sweep-with-p"],
+        [
+            ["--seeds", "0", "--p", "2"],
+            ["--sweep", "1,a"],
+            ["--sweep", "1,2", "--p", "2"],
+            ["--seed", "5", "--p", "2"],
+            ["--sweep", ","],
+            ["--sweep", ""],
+        ],
+        ids=["seeds", "sweep", "sweep-with-p", "seed", "sweep-no-values", "sweep-empty"],
     )
     def test_bad_seeds_or_sweep_is_usage_error(self, tmp_path, capsys, flags):
-        code, _ = self.run_bench(tmp_path, flags)
+        # bench runs seeds 0..--seeds-1, so a --seed would be ignored; a
+        # --sweep must name at least one p
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--density", "uniform", "--n", "10", "--K", "2", "--out", str(out)] + flags
+        )
         assert code == 2
         assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_needs_ar1(self, tmp_path):
         code = main(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,26 @@ class TestScanOrder:
         assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
         assert got[0] != 0 and np.isfinite(got[1])
 
+    def test_unpruned_scan_memory_stays_small(self):
+        """A -inf level prunes nothing, so every chunk scores all 505
+        candidates, and a (505, 128, 10) pair tensor is 4.9 MiB.  The kernel
+        builds it in blocks of at most geometry.BLOCK_ELEMENTS values: the
+        traced peak is 6.36 MiB with 8 MB blocks, 1.93 MiB with 512 KB ones."""
+        rng = np.random.default_rng(13)
+        cand, cand_part, cond, cond_part, center = pass1_inputs(rng, 10, 505, 298, 0.5)
+        cand_part[0] = 50.0
+        cond[-1] = cand[0]
+        cond_part[-1] = 1e6
+        tracemalloc.start()
+        try:
+            got = _argmax_min_term(cand, cand_part, cond, cond_part, 2.0, center)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, 2.0, center)
+        assert got[0] != 0 and np.isfinite(got[1])
+        assert peak <= 3 * 1024 * 1024
+
     @pytest.mark.parametrize("s", SCAN_EXPONENTS)
     def test_all_candidates_at_minus_infinity(self, s):
         rng = np.random.default_rng(11)
@@ -778,6 +799,17 @@ class TestRunProperties:
         with pytest.raises(DensityProtocolError):
             run(model, RunConfig(seed=0, n=20, K=3), ledger=ledger)
         assert ledger.count == 30
+
+    def test_run_memory_stays_small(self):
+        """Peak traced allocation of a K=3 ar1 p=10 run: 2.39 MiB with 8 MB
+        kernel blocks, 1.19 MiB with 512 KB ones."""
+        tracemalloc.start()
+        try:
+            run(make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0, K=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 1024 * 1024
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
