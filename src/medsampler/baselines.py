@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, EvaluationLedger, eval_logf
+from .density import DensityModel, EvaluationLedger, eval_batch
 from .engine import Design
 from .errors import ConfigError
 from .surrogate import SurrogateModel, predict
@@ -98,53 +98,65 @@ def _adapt(
     return np.linalg.cholesky(S @ S.transpose(0, 2, 1) + outer)
 
 
+def _step(x, current, S, rngs, t, values_of) -> tuple[int, int]:
+    """Round ``t`` of robust adaptive Metropolis (Vihola 2012) for a stack of chains.
+
+    Chain j proposes ``x[j] + S[j] u`` with ``u`` normal draws from ``rngs[j]``.
+    Out-of-cube proposals are rejected without a value; the others get their
+    log values from one ``values_of`` call and a second draw of the chain's
+    stream accepts each.  ``x`` (a, p), ``current`` (a,) and ``S`` (a, p, p)
+    are updated in place.  Returns the values requested and the moves accepted.
+    """
+    u = np.empty(x.shape)
+    for j in range(len(x)):
+        rngs[j].standard_normal(out=u[j])
+    v = S @ u[:, :, None]
+    proposal = x + v[:, :, 0]
+    inside = np.flatnonzero(np.all((proposal >= 0.0) & (proposal <= 1.0), axis=1))
+    alpha = np.zeros(len(x))
+    accepted = 0
+    if len(inside):
+        values = values_of(proposal[inside])
+        for j, value in zip(inside.tolist(), values.tolist()):
+            alpha[j] = prob = min(1.0, math.exp(min(value - current[j], 0.0)))
+            if prob > 0.0 and rngs[j].random() < prob:
+                x[j] = proposal[j]
+                current[j] = value
+                accepted += 1
+    S[:] = _adapt(S, u, v, alpha, t, TARGET_ACCEPT)
+    return len(inside), accepted
+
+
 def adaptive_metropolis(
     model: DensityModel,
     spec: ChainSpec,
     ledger: EvaluationLedger,
     eval_budget: int | None = None,
 ) -> MetropolisResult:
-    """Adaptive random-walk Metropolis on the exact density.
+    """Adaptive random-walk Metropolis on the exact density: one-chain ``_step`` rounds.
 
-    Proposals leaving the unit cube are rejected without an evaluation (the
-    density is treated as zero outside).  With ``eval_budget`` set, the chain
-    runs until exactly that many ledger evaluations are spent, ignoring
-    ``spec.length``; otherwise it runs ``spec.length`` steps.
+    Proposals leaving the unit cube are rejected without an evaluation.  With
+    ``eval_budget`` set, the chain runs until exactly that many ledger
+    evaluations are spent, ignoring ``spec.length``; otherwise it runs
+    ``spec.length`` steps.
     """
     p = model.p
     S = _check_spec(spec, p)[None]
     if eval_budget is not None and eval_budget < 1:
         raise ConfigError(f"evaluation budget must be >= 1, got {eval_budget}")
-    rng = np.random.default_rng(spec.seed)
-
-    x = np.asarray(spec.start, dtype=float).ravel().copy()
-    current = eval_logf(model, x, ledger)
+    rngs = [np.random.default_rng(spec.seed)]
+    values_of = lambda points: eval_batch(model, points, ledger)  # noqa: E731
+    x = np.asarray(spec.start, dtype=float).reshape(1, p).copy()
+    current = values_of(x)
     evals = 1
     chain: list[np.ndarray] = []
-    accepted = 0
-    step = 0
-    while True:
-        if eval_budget is None:
-            if step >= spec.length:
-                break
-        elif evals >= eval_budget:
-            break
+    accepted = step = 0
+    while step < spec.length if eval_budget is None else evals < eval_budget:
         step += 1
-        u = rng.standard_normal((1, p))
-        v = S @ u[:, :, None]
-        proposal = x + v[0, :, 0]
-        if np.all((proposal >= 0.0) & (proposal <= 1.0)):
-            logf = eval_logf(model, proposal, ledger)
-            evals += 1
-            alpha = min(1.0, math.exp(min(logf - current, 0.0)))
-        else:
-            alpha = 0.0
-        if alpha > 0.0 and rng.random() < alpha:
-            x = proposal
-            current = logf
-            accepted += 1
-        S = _adapt(S, u, v, np.array([alpha]), step, TARGET_ACCEPT)
-        chain.append(x.copy())
+        requested, moved = _step(x, current, S, rngs, step, values_of)
+        evals += requested
+        accepted += moved
+        chain.append(x[0].copy())
     return MetropolisResult(
         chain=np.array(chain).reshape(len(chain), p),
         accept_rate=accepted / step if step else 0.0,
@@ -177,14 +189,13 @@ def followup_mcmc(
     ledger is involved.  No burn-in is dropped: the starts are already in
     high-probability regions.
 
-    The chains advance in lockstep: round t steps every chain whose length is
-    at least t, with one correlation block for the round's in-cube proposals
-    and one stacked update of the proposal factors.  Each chain draws from its
-    own stream in the order a chain run alone would, and ``predict`` gives
-    each start and each proposal its one-point value, so the samples are bit
-    for bit those of running the chains one after another.  ``logf`` holds
-    each stored state's surrogate value as its chain knew it, which is
-    therefore ``predict(surrogate, state)`` to the last bit.
+    The chains advance in lockstep: round t is one ``_step`` of every chain
+    whose length is at least t.  Each chain draws from its own stream in the
+    order a chain run alone would, and ``predict`` gives each start and each
+    proposal its one-point value, so the samples are bit for bit those of
+    running the chains one after another.  ``logf`` holds each stored state's
+    surrogate value as its chain knew it, which is therefore
+    ``predict(surrogate, state)`` to the last bit.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -202,27 +213,15 @@ def followup_mcmc(
         for i in order
     ]
     x = points[order]
-    current = predict(surrogate, x).tolist()
+    current = predict(surrogate, x)
     S = np.repeat(S0[None], n, axis=0)
-    u = np.empty((n, p))
     samples = np.empty((int(lengths.sum()), p))
     logf = np.empty(len(samples))
+    # the module's ``predict`` is looked up per round, so a wrapper set on it counts each call
+    values_of = lambda y: predict(surrogate, y)  # noqa: E731
     for t in range(1, int(steps[0]) + 1):
         a = int(np.count_nonzero(steps >= t))
-        for j in range(a):
-            rngs[j].standard_normal(out=u[j])
-        v = S[:a] @ u[:a, :, None]
-        proposal = x[:a] + v[:, :, 0]
-        inside = np.flatnonzero(np.all((proposal >= 0.0) & (proposal <= 1.0), axis=1))
-        alpha = np.zeros(a)
-        if len(inside):
-            values = predict(surrogate, proposal[inside])
-            for j, value in zip(inside.tolist(), values.tolist()):
-                alpha[j] = prob = min(1.0, math.exp(min(value - current[j], 0.0)))
-                if prob > 0.0 and rngs[j].random() < prob:
-                    x[j] = proposal[j]
-                    current[j] = value
-        S[:a] = _adapt(S[:a], u[:a], v, alpha, t, TARGET_ACCEPT)
+        _step(x[:a], current[:a], S[:a], rngs, t, values_of)
         rows = first_row[:a] + (t - 1)
         samples[rows] = x[:a]
         logf[rows] = current[:a]

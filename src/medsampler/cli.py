@@ -228,8 +228,16 @@ def cmd_generate(args) -> int:
     model = _build_density(args)
     config = _run_config(args)
     started = _utcnow()
+    ledger = EvaluationLedger()
     with model:
-        design, report = run(model, config)
+        try:
+            design, report = run(model, config, ledger)
+        except BaseException:
+            # a density failure or Ctrl-C keeps every evaluation made so far
+            if ledger.count:
+                out.mkdir(parents=True, exist_ok=True)
+                write_ledger(out / "ledger.csv", ledger)
+            raise
     finished = _utcnow()
 
     out.mkdir(parents=True, exist_ok=True)

@@ -143,7 +143,7 @@ def _evaluate(model: DensityModel, worker: int, u: np.ndarray) -> tuple[float, f
     Builtin models compute in original coordinates; external ones ask pool
     worker ``worker``.  Values below the floor (including -inf for zero
     density) are clamped to it so criterion arithmetic stays finite.  A NaN
-    from any evaluator aborts the run.
+    or +inf from any evaluator aborts the run before anything is recorded.
     """
     t0 = time.perf_counter()
     if model.kind == "builtin":
@@ -152,8 +152,9 @@ def _evaluate(model: DensityModel, worker: int, u: np.ndarray) -> tuple[float, f
         x_orig = None if model.has_identity_box else model.to_original(u)
         val = model.pool.eval_on(worker, u, x_orig)
     duration_ms = (time.perf_counter() - t0) * 1e3
-    if math.isnan(val):
-        raise DensityProtocolError(f"density returned NaN at point {u.tolist()}")
+    if math.isnan(val) or val == math.inf:
+        kind = "NaN" if math.isnan(val) else "+inf"
+        raise DensityProtocolError(f"density returned {kind} at point {u.tolist()}")
     return max(val, LOGF_FLOOR), duration_ms
 
 
@@ -445,6 +446,11 @@ class _ExternalPool:
                 raise DensityProtocolError(
                     f"malformed response ({exc}) at point {request['x']}"
                 ) from exc
+        if not isinstance(reply, dict):
+            worker.kill()
+            raise DensityProtocolError(
+                f"malformed response ({reply!r} is not a JSON object) at point {request['x']}"
+            )
         if reply.get("id") != request["id"]:
             raise DensityProtocolError(
                 f"response id {reply.get('id')!r} does not match request id "
@@ -484,7 +490,11 @@ def make_external(
     coordinates (plus ``"x_orig"`` when a box is given); the child must reply
     ``{"id": k, "logf": value}`` with the id echoed.  MED_DENSITY_DIM is set
     in the child's environment.  A dead or silent child is restarted once per
-    request before the run aborts; NaN or malformed replies abort immediately.
+    request before the run aborts.  A NaN or +inf value, or a reply that is
+    not a JSON object with the echoed id and a numeric ``logf``, aborts
+    immediately with ``DensityProtocolError`` (exit 3 from the command line,
+    where an aborted ``generate`` still writes its ``ledger.csv``); -inf is a
+    valid zero density.
     """
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")

@@ -353,24 +353,55 @@ class TestLockstepMatchesReference:
         assert_matches_reference(med, surrogate, 500, seed=4)
 
 
+def reference_metropolis(model, start, seed, length=None, budget=None):
+    """The baseline one scalar step at a time: (chain, accept rate, ledger).
+
+    It runs ``length`` steps, or with ``budget`` until its ledger holds that
+    many records.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.asarray(start, dtype=float)
+    ledger = EvaluationLedger()
+    current = eval_logf(model, x, ledger)
+    S = 0.1 * np.eye(model.p)
+    chain, accepted, step = [], 0, 0
+    while step < length if budget is None else ledger.count < budget:
+        step += 1
+        u = rng.standard_normal(model.p)
+        proposal = x + S @ u
+        alpha = 0.0
+        if np.all((proposal >= 0.0) & (proposal <= 1.0)):
+            value = eval_logf(model, proposal, ledger)
+            alpha = min(1.0, math.exp(min(value - current, 0.0)))
+        if alpha > 0.0 and rng.random() < alpha:
+            x, current = proposal, value
+            accepted += 1
+        S = reference_adapt(S, u, alpha, step, TARGET_ACCEPT)
+        chain.append(x)
+    return np.array(chain).reshape(step, model.p), accepted / step if step else 0.0, ledger
+
+
 class TestAdaptiveMetropolisMatchesReference:
+    """The baseline's one-chain ``_step`` rounds against the scalar oracle, bit for bit."""
+
+    def assert_matches(self, result, ledger, reference):
+        chain, accept_rate, ref_ledger = reference
+        assert np.array_equal(result.chain, chain)
+        assert result.accept_rate == accept_rate
+        assert result.evaluations == ledger.count == ref_ledger.count
+        assert np.array_equal(ledger.points(), ref_ledger.points())
+        assert np.array_equal(ledger.logf_values(), ref_ledger.logf_values())
+
     def test_chain_bits(self):
-        """The baseline's one-factor ``_adapt`` call gives the oracle's updates."""
         model = make_banana()
-        result, _ = run_chain(model, [0.5, 0.6], 400, seed=3)
-        rng = np.random.default_rng(3)
-        x = np.array([0.5, 0.6])
-        ledger = EvaluationLedger()
-        current = eval_logf(model, x, ledger)
-        S = 0.1 * np.eye(2)
-        for step in range(1, 401):
-            u = rng.standard_normal(2)
-            proposal = x + S @ u
-            alpha = 0.0
-            if np.all((proposal >= 0.0) & (proposal <= 1.0)):
-                value = eval_logf(model, proposal, ledger)
-                alpha = min(1.0, math.exp(min(value - current, 0.0)))
-            if alpha > 0.0 and rng.random() < alpha:
-                x, current = proposal, value
-            S = reference_adapt(S, u, alpha, step, TARGET_ACCEPT)
-            assert np.array_equal(result.chain[step - 1], x)
+        result, ledger = run_chain(model, [0.5, 0.6], 400, seed=3)
+        self.assert_matches(result, ledger, reference_metropolis(model, [0.5, 0.6], 3, length=400))
+
+    def test_budget_bits(self):
+        # started near a corner, so some steps propose outside the cube and
+        # spend no evaluation of the budget
+        model = make_banana()
+        result, ledger = run_chain(model, [0.02, 0.98], 1, seed=4, budget=57)
+        assert len(result.chain) > 56
+        reference = reference_metropolis(model, [0.02, 0.98], 4, budget=57)
+        self.assert_matches(result, ledger, reference)

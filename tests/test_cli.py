@@ -136,6 +136,29 @@ class TestGenerate:
             main(["generate", "--density", "banana"])
         assert err.value.code == 2
 
+    def test_aborted_run_keeps_its_ledger(self, tmp_path, capsys):
+        # the evaluator answers NaN from its 8th request on: six stage-1
+        # records, then stage 2 aborts after its first
+        child = tmp_path / "child.py"
+        child.write_text(
+            "import json, sys\n"
+            "for k, line in enumerate(sys.stdin, 1):\n"
+            "    req = json.loads(line)\n"
+            "    val = 'nan' if k >= 8 else -sum(v * v for v in req['x'])\n"
+            "    print(json.dumps({'id': req['id'], 'logf': val}), flush=True)\n"
+        )
+        out = tmp_path / "run"
+        code = main(
+            ["generate", "--density", "external", "--cmd", f"{sys.executable} {child}",
+             "--p", "2", "--n", "6", "--K", "2", "--out", str(out)]
+        )
+        assert code == 3
+        assert "NaN" in capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == ["ledger.csv"]
+        ledger = read_ledger(out / "ledger.csv")
+        assert ledger.count == 7
+        assert [r.stage for r in ledger.records] == [1] * 6 + [2]
+
     def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the ar1 p=10 reference config, cut to two stages; each run is a
         # fresh process, since BLAS reads its thread count when it loads

@@ -95,9 +95,13 @@ class TestEvalLogf:
         assert eval_logf(m, np.array([0.5]), ledger) == LOGF_FLOOR
 
     def test_nan_aborts(self):
-        m = builtin(1, lambda x: float("nan"))
-        with pytest.raises(DensityProtocolError):
-            eval_logf(m, np.array([0.5]), EvaluationLedger())
+        # +inf aborts like NaN, and neither value reaches the ledger
+        for bad in ("nan", "inf"):
+            m = builtin(1, lambda x: float(bad))
+            ledger = EvaluationLedger()
+            with pytest.raises(DensityProtocolError, match=r"at point \[0\.5\]"):
+                eval_logf(m, np.array([0.5]), ledger)
+            assert ledger.count == 0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -271,27 +275,33 @@ class TestExternal:
             assert got == pytest.approx(20.0)
 
     def test_nan_response_aborts(self, tmp_path):
-        body = """
-            import json, sys
-            for line in sys.stdin:
-                req = json.loads(line)
-                print(json.dumps({"id": req["id"], "logf": "nan"}), flush=True)
-        """
-        cmd = child_script(tmp_path, body)
-        with make_external(cmd, timeout=10.0, max_concurrency=1, p=1) as m:
-            with pytest.raises(DensityProtocolError):
-                eval_logf(m, np.array([0.5]), EvaluationLedger())
+        for bad in ("nan", "inf"):
+            body = f"""
+                import json, sys
+                for line in sys.stdin:
+                    req = json.loads(line)
+                    print(json.dumps({{"id": req["id"], "logf": "{bad}"}}), flush=True)
+            """
+            cmd = child_script(tmp_path, body, name=f"child_{bad}.py")
+            with make_external(cmd, timeout=10.0, max_concurrency=1, p=1) as m:
+                ledger = EvaluationLedger()
+                with pytest.raises(DensityProtocolError):
+                    eval_logf(m, np.array([0.5]), ledger)
+                assert ledger.count == 0
 
     def test_malformed_response_aborts(self, tmp_path):
-        body = """
-            import sys
-            for line in sys.stdin:
-                print("not json", flush=True)
-        """
-        cmd = child_script(tmp_path, body)
-        with make_external(cmd, timeout=10.0, max_concurrency=1, p=1) as m:
-            with pytest.raises(DensityProtocolError):
-                eval_logf(m, np.array([0.5]), EvaluationLedger())
+        # undecodable lines and JSON values that are not objects alike
+        for i, reply in enumerate(["not json", "42", "[1]"]):
+            body = f"""
+                import sys
+                for line in sys.stdin:
+                    print({reply!r}, flush=True)
+            """
+            cmd = child_script(tmp_path, body, name=f"child_{i}.py")
+            with make_external(cmd, timeout=10.0, max_concurrency=1, p=1) as m:
+                with pytest.raises(DensityProtocolError, match="malformed"):
+                    eval_logf(m, np.array([0.5]), EvaluationLedger())
+                assert m.pool.workers[0].proc.poll() is not None
 
     def test_id_mismatch_aborts(self, tmp_path):
         body = """
