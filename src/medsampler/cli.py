@@ -13,6 +13,7 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -205,14 +206,7 @@ def _report_dict(report: RunReport) -> dict:
         "config": report.config,
         "gammas": report.gammas,
         "stages": [
-            {
-                "stage": st.stage,
-                "gamma": st.gamma,
-                "s": st.s,
-                "sigma_cond": st.sigma_cond,
-                "psi_log": st.psi_log,
-                "psi_tilde_log": st.psi_tilde_log,
-            }
+            {key: value for key, value in asdict(st).items() if key != "seconds"}
             for st in report.stages
         ],
         "notes": report.notes,

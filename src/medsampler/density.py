@@ -171,40 +171,47 @@ def eval_batch(
 ) -> np.ndarray:
     """Evaluate many unit-scale points, clipped to [0,1]; results in request order.
 
-    With one worker (every builtin model) each record is appended as its
-    evaluation completes, so an aborted batch keeps its prefix.  Several
-    external workers share the requests; their records are appended in
-    request order after the workers have joined, and if a worker failed,
-    every completed record is still appended before the first error is raised.
+    The pool's workers share the requests round-robin; worker 0's share runs
+    on the calling thread, so a builtin model (one worker) starts no thread.
+    Every completed evaluation is appended in request order once the workers
+    have stopped, also when the batch fails.  A density failure stops its
+    worker and lets the others finish their shares, then the first failure is
+    raised.  An interrupt (Ctrl-C), whenever it arrives, stops every worker
+    after its evaluation in flight and is raised once their records are in.
     """
     units = np.clip(np.atleast_2d(np.asarray(points, dtype=float)), 0.0, 1.0)
     if units.ndim != 2 or units.shape[1] != model.p:
         raise ConfigError(f"points have shape {units.shape}, model dimension is {model.p}")
     workers = 1 if model.pool is None else len(model.pool.workers)
     done: list[tuple[float, float] | None] = [None] * len(units)
-    if workers == 1:
-        for i, u in enumerate(units):
-            done[i] = _evaluate(model, 0, u)
-            ledger.append(u, *done[i])
-        return np.array([val for val, _ in done])
-
     errors: list[Exception] = []
+    stop = threading.Event()
 
-    def run_chunk(worker: int) -> None:
+    def run_share(worker: int) -> None:
         try:
             for i in range(worker, len(units), workers):
+                if stop.is_set():
+                    return
                 done[i] = _evaluate(model, worker, units[i])
-        except Exception as exc:  # surfaced after join
+        except Exception as exc:  # raised once every record is appended
             errors.append(exc)
 
-    threads = [threading.Thread(target=run_chunk, args=(w,)) for w in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for u, record in zip(units, done):
-        if record is not None:
-            ledger.append(u, *record)
+    threads = []
+    try:
+        for w in range(1, workers):
+            t = threading.Thread(target=run_share, args=(w,))
+            t.start()
+            threads.append(t)
+        run_share(0)
+        for t in threads:
+            t.join()
+    finally:
+        stop.set()
+        for t in threads:
+            t.join()
+        for u, record in zip(units, done):
+            if record is not None:
+                ledger.append(u, *record)
     if errors:
         raise errors[0]
     return np.array([val for val, _ in done])
@@ -392,29 +399,25 @@ class _Worker:
             self.proc.kill()
             self.proc.wait()
 
-    def round_trip(self, request: dict) -> dict:
+    def round_trip(self, request: dict) -> str:
         """Send one request and wait for one line; raises on timeout or death."""
         payload = json.dumps(request) + "\n"
         try:
             self.proc.stdin.write(payload)
             self.proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise _WorkerDied(str(exc)) from exc
+            raise _WorkerLost(str(exc)) from exc
         try:
             line = self.lines.get(timeout=self.timeout)
         except queue.Empty as exc:
-            raise _WorkerTimeout(f"no response within {self.timeout}s") from exc
+            raise _WorkerLost(f"no response within {self.timeout}s") from exc
         if line is None:
-            raise _WorkerDied("child closed its output")
-        return json.loads(line)
+            raise _WorkerLost("child closed its output")
+        return line
 
 
-class _WorkerDied(Exception):
-    pass
-
-
-class _WorkerTimeout(Exception):
-    pass
+class _WorkerLost(Exception):
+    """The child died or did not answer in time."""
 
 
 class _ExternalPool:
@@ -432,37 +435,33 @@ class _ExternalPool:
         worker.next_id += 1
         for attempt in (0, 1):
             try:
-                reply = worker.round_trip(request)
+                line = worker.round_trip(request)
                 break
-            except (_WorkerDied, _WorkerTimeout) as exc:
+            except _WorkerLost as exc:
                 worker.kill()
                 if attempt == 1:
                     raise DensityProtocolError(
                         f"evaluator failed twice ({exc}) at point {request['x']}"
                     ) from exc
                 worker.spawn()
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                worker.kill()
-                raise DensityProtocolError(
-                    f"malformed response ({exc}) at point {request['x']}"
-                ) from exc
-        if not isinstance(reply, dict):
+        # a child whose reply is not understood is out of step with its
+        # requests, so it is killed whatever is wrong with the reply
+        try:
+            reply = json.loads(line)
+            if not isinstance(reply, dict):
+                raise ValueError(f"{reply!r} is not a JSON object")
+            if reply.get("id") != request["id"]:
+                raise ValueError(
+                    f"response id {reply.get('id')!r} does not match request id {request['id']}"
+                )
+            if "logf" not in reply:
+                raise ValueError("no 'logf'")
+            return float(reply["logf"])
+        except (TypeError, ValueError) as exc:
             worker.kill()
             raise DensityProtocolError(
-                f"malformed response ({reply!r} is not a JSON object) at point {request['x']}"
-            )
-        if reply.get("id") != request["id"]:
-            raise DensityProtocolError(
-                f"response id {reply.get('id')!r} does not match request id "
-                f"{request['id']} at point {request['x']}"
-            )
-        try:
-            val = float(reply["logf"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DensityProtocolError(
-                f"response missing numeric 'logf' at point {request['x']}"
+                f"malformed response ({exc}) at point {request['x']}"
             ) from exc
-        return val
 
     def close(self) -> None:
         for w in self.workers:
@@ -492,9 +491,10 @@ def make_external(
     in the child's environment.  A dead or silent child is restarted once per
     request before the run aborts.  A NaN or +inf value, or a reply that is
     not a JSON object with the echoed id and a numeric ``logf``, aborts
-    immediately with ``DensityProtocolError`` (exit 3 from the command line,
-    where an aborted ``generate`` still writes its ``ledger.csv``); -inf is a
-    valid zero density.
+    immediately with ``DensityProtocolError``; a malformed reply also kills the
+    child that sent it.  From the command line this is exit 3, and an
+    aborted ``generate`` still writes its ``ledger.csv``.  -inf is a valid
+    zero density.
     """
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")

@@ -133,23 +133,30 @@ class RunReport:
 
 @dataclass
 class StageState:
-    """Mutable context for one stage: every evaluated point plus the metrics.
+    """The run's evaluated points and the metric of the stage under way.
 
     The evaluated-point buffers are preallocated for the whole run; ``count``
     is the committed prefix length.  ``white`` holds the same prefix under the
-    stage's whitening transform, refreshed when sigma changes.
+    stage's whitening ``spec``, refreshed by ``begin``.
     """
 
     model: DensityModel
     config: RunConfig
     ledger: EvaluationLedger
-    stage_next: int
     m: int
-    spec_white: DistanceSpec
     pts: np.ndarray
     logf: np.ndarray
     white: np.ndarray
-    count: int
+    count: int = 0
+    stage: int = 1
+    spec: DistanceSpec | None = None
+
+    def begin(self, stage: int, spec: DistanceSpec) -> None:
+        """Start ``stage`` under ``spec``: re-whiten the committed prefix in one product."""
+        self.stage = stage
+        self.spec = spec
+        self.white[: self.count] = spec.whiten(self.pts[: self.count])
+        self.ledger.begin_stage(stage)
 
     def all_points(self) -> np.ndarray:
         return self.pts[: self.count]
@@ -157,7 +164,7 @@ class StageState:
     def add_evaluated(self, x: np.ndarray, val: float) -> None:
         self.pts[self.count] = x
         self.logf[self.count] = val
-        self.white[self.count] = self.spec_white.whiten(x)
+        self.white[self.count] = self.spec.whiten(x)
         self.count += 1
 
 
@@ -346,9 +353,9 @@ def propose_new_points(
     for j in range(n):
         center = design.points[j]
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.stage_next, j))
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.stage, j))
         )
-        wc = state.spec_white.whiten(center)
+        wc = state.spec.whiten(center)
         d2 = ((state.white[: state.count] - wc[None, :]) ** 2).sum(axis=1)
         nearest = _nearest(d2, n)
         region = state.pts[nearest]
@@ -365,7 +372,7 @@ def propose_new_points(
             gamma_next * yhat,
             cond[:size],
             gamma_next * cond_logf[:size],
-            state.spec_white.s,
+            state.spec.s,
             center,
         )
 
@@ -428,24 +435,25 @@ def _initial_lattice(n: int, p: int, seed: int) -> LatticeRule:
 
 def _stage_metric(
     design: Design, gamma_k: float, gamma_next: float, config: RunConfig
-) -> tuple[np.ndarray, DistanceSpec, DistanceSpec]:
-    """Metric of the stage that starts from ``design``: (sigma, plain, white)."""
-    p = design.points.shape[1]
+) -> tuple[np.ndarray, DistanceSpec]:
+    """Whitened metric of the stage that starts from ``design``: (sigma, spec)."""
     s = _resolve_s(design.logf, gamma_k, config)
     sigma = update_sigma(design.points, gamma_k, gamma_next, config.whitening)
-    return sigma, identity_spec(p, s), spec_from_sigma(sigma, s=s)
+    return sigma, spec_from_sigma(sigma, s=s)
 
 
-def _stage_report(design: Design, metric: tuple, t0: float) -> StageReport:
-    """Stage summary of ``design`` under ``metric``; seconds counted from ``t0``."""
-    sigma, spec_plain, spec_white = metric
+def _stage_report(
+    design: Design, sigma: np.ndarray, spec: DistanceSpec, t0: float
+) -> StageReport:
+    """Stage summary of ``design`` under ``spec`` and unwhitened; seconds from ``t0``."""
+    plain = identity_spec(design.points.shape[1], spec.s)
     return StageReport(
         stage=design.stage,
         gamma=design.gamma,
-        s=spec_white.s,
+        s=spec.s,
         sigma_cond=float(np.linalg.cond(sigma)),
-        psi_log=psi_log(design.points, design.logf, design.gamma, spec_plain).value,
-        psi_tilde_log=psi_log(design.points, design.logf, design.gamma, spec_white).value,
+        psi_log=psi_log(design.points, design.logf, design.gamma, plain).value,
+        psi_tilde_log=psi_log(design.points, design.logf, design.gamma, spec).value,
         seconds=time.perf_counter() - t0,
     )
 
@@ -476,52 +484,36 @@ def run(
     t_run = time.perf_counter()
 
     budget = K * n
-    buf_pts = np.empty((budget, p))
-    buf_logf = np.empty(budget)
-    buf_white = np.empty((budget, p))
+    state = StageState(
+        model, config, ledger, m, np.empty((budget, p)), np.empty(budget), np.empty((budget, p))
+    )
 
     t0 = time.perf_counter()
     ledger.begin_stage(1)
     pts1 = _initial_lattice(n, p, config.seed).points()
     logf1 = eval_batch(model, pts1, ledger)
+    state.pts[:n] = pts1
+    state.logf[:n] = logf1
+    state.count = n
     design = Design(points=pts1, logf=logf1, stage=1, gamma=0.0)
-    count = len(pts1)
-    buf_pts[:count] = pts1
-    buf_logf[:count] = logf1
 
-    # stage 1 is reported under the metric that stage 2 runs on
-    metric = _stage_metric(design, 0.0, float(schedule.gammas[1]), config)
-    stages = [_stage_report(design, metric, t0)]
-
+    stages = []
     for k_next in range(2, K + 1):
-        t0 = time.perf_counter()
         gamma_k = float(schedule.gammas[k_next - 2])
         gamma_next = float(schedule.gammas[k_next - 1])
-        if k_next > 2:
-            metric = _stage_metric(design, gamma_k, gamma_next, config)
-        _, _, spec_white = metric
+        sigma, spec = _stage_metric(design, gamma_k, gamma_next, config)
+        if k_next == 2:
+            # stage 1 is reported under the metric that stage 2 runs on
+            stages.append(_stage_report(design, sigma, spec, t0))
+            t0 = time.perf_counter()
 
-        buf_white[:count] = spec_white.whiten(buf_pts[:count])
-        state = StageState(
-            model=model,
-            config=config,
-            ledger=ledger,
-            stage_next=k_next,
-            m=m,
-            spec_white=spec_white,
-            pts=buf_pts,
-            logf=buf_logf,
-            white=buf_white,
-            count=count,
-        )
-        ledger.begin_stage(k_next)
+        state.begin(k_next, spec)
         propose_new_points(design, state, gamma_next)
-        count = state.count
-
         design = greedy_select(
-            buf_pts[:count], buf_logf[:count], n, gamma_next, spec_white, stage=k_next
+            state.all_points(), state.logf[: state.count], n, gamma_next, spec, stage=k_next
         )
-        stages.append(_stage_report(design, metric, t0))
+        stages.append(_stage_report(design, sigma, spec, t0))
+        t0 = time.perf_counter()
 
     used = ledger.count - start_count
     if used != budget:

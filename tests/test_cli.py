@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import medsampler
 from medsampler.cli import _ks_uniform, main
 from medsampler.density import make_banana
+from medsampler.engine import _initial_lattice
 from medsampler.fileio import fmt, read_design, read_ledger, read_samples
 from medsampler.geometry import identity_spec, psi_log
 from medsampler.surrogate import fit, predict
@@ -158,6 +160,47 @@ class TestGenerate:
         ledger = read_ledger(out / "ledger.csv")
         assert ledger.count == 7
         assert [r.stage for r in ledger.records] == [1] * 6 + [2]
+
+    def test_interrupted_threaded_run_keeps_its_ledger(self, tmp_path):
+        # with two workers, the first child to reach its third request sends
+        # the run one SIGINT, as Ctrl-C would, in the middle of stage 1
+        child = tmp_path / "child.py"
+        child.write_text(
+            "import json, os, signal, sys, time\n"
+            "for k, line in enumerate(sys.stdin, 1):\n"
+            "    req = json.loads(line)\n"
+            "    if k == 3:\n"
+            "        try:\n"
+            "            os.close(os.open(sys.argv[1], os.O_CREAT | os.O_EXCL))\n"
+            "            os.kill(os.getppid(), signal.SIGINT)\n"
+            "        except FileExistsError:\n"
+            "            pass\n"
+            "    time.sleep(0.05)\n"
+            "    print(json.dumps({'id': req['id'], 'logf': -sum(v * v for v in req['x'])}),\n"
+            "          flush=True)\n"
+        )
+        path = [str(Path(medsampler.__file__).resolve().parents[1])]
+        path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "medsampler.cli", "generate", "--density", "external",
+             "--cmd", shlex.join([sys.executable, str(child), str(tmp_path / "signalled")]),
+             "--p", "2", "--threads", "2", "--n", "11", "--K", "2", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "KeyboardInterrupt" in proc.stderr
+        assert sorted(f.name for f in out.iterdir()) == ["ledger.csv"]
+        ledger = read_ledger(out / "ledger.csv")
+        assert ledger.count >= 1
+        assert {r.stage for r in ledger.records} == {1}
+        # the completed requests of the stage-1 lattice, in request order
+        lattice = [tuple(x) for x in _initial_lattice(11, 2, 0).points()]
+        rows = [lattice.index(tuple(x)) for x in ledger.points()]
+        assert rows == sorted(set(rows))
 
     def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the ar1 p=10 reference config, cut to two stages; each run is a

@@ -2,6 +2,8 @@
 
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -304,16 +306,19 @@ class TestExternal:
                 assert m.pool.workers[0].proc.poll() is not None
 
     def test_id_mismatch_aborts(self, tmp_path):
-        body = """
-            import json, sys
-            for line in sys.stdin:
-                req = json.loads(line)
-                print(json.dumps({"id": 999, "logf": 0.0}), flush=True)
-        """
-        cmd = child_script(tmp_path, body)
-        with make_external(cmd, timeout=10.0, max_concurrency=1, p=1) as m:
-            with pytest.raises(DensityProtocolError):
-                eval_logf(m, np.array([0.5]), EvaluationLedger())
+        # a JSON object with the wrong id, or without a logf, leaves the
+        # child out of step with its requests: it is killed
+        for i, reply in enumerate(['{"id": 999, "logf": 0.0}', '{"id": 0}']):
+            body = f"""
+                import sys
+                for line in sys.stdin:
+                    print({reply!r}, flush=True)
+            """
+            cmd = child_script(tmp_path, body, name=f"child_{i}.py")
+            with make_external(cmd, timeout=10.0, max_concurrency=1, p=1) as m:
+                with pytest.raises(DensityProtocolError):
+                    eval_logf(m, np.array([0.5]), EvaluationLedger())
+                assert m.pool.workers[0].proc.poll() is not None
 
     def test_dead_child_restarts_once(self, tmp_path):
         # The child answers a single request and exits; the second request
@@ -380,6 +385,41 @@ class TestExternal:
             # the worker that hit the last point had finished its earlier
             # ones; the other workers finished theirs
             np.testing.assert_array_equal(ledger.points(), pts[:9])
+
+    def test_interrupt_keeps_completed_records_in_order(self):
+        # worker 0 is interrupted at its third request; worker 1 stops after
+        # its request in flight, and every completed request is recorded
+        class Pool:
+            workers = [None, None]
+
+            def __init__(self):
+                self.completed = []
+                self.calls = 0
+
+            def eval_on(self, idx, u, x_orig):
+                if idx == 0:
+                    self.calls += 1
+                    if self.calls == 3:
+                        raise KeyboardInterrupt
+                time.sleep(0.01)
+                self.completed.append(round(float(u[0]) * 19))
+                return -float(u[0])
+
+        pool = Pool()
+        model = DensityModel(
+            p=1, box=np.array([[0.0, 1.0]]), kind="external", name="fake", pool=pool
+        )
+        pts = np.linspace(0.0, 1.0, 20)[:, None]
+        ledger = EvaluationLedger()
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            eval_batch(model, pts, ledger)
+        assert threading.active_count() == before
+        # worker 0 finished two requests; worker 1 stopped short of its ten
+        assert sum(i % 2 == 0 for i in pool.completed) == 2
+        assert sum(i % 2 == 1 for i in pool.completed) < 10
+        np.testing.assert_array_equal(ledger.points(), pts[sorted(pool.completed)])
+        np.testing.assert_array_equal(ledger.logf_values(), -pts[sorted(pool.completed), 0])
 
     def test_threaded_batch_rejects_wrong_dimension(self, tmp_path):
         cmd = child_script(tmp_path, ECHO_CHILD)

@@ -1,4 +1,4 @@
-"""Golden ledger digests of the reference runs, and the banana report bytes.
+"""Golden ledger digests of the reference runs, and their report bytes.
 
 The banana and ar1 p=10 digests are those of the seed-0 reference runs
 recorded with the benchmark (``perfbench/digests.json``); the p=30 one is the
@@ -36,6 +36,8 @@ BANANA_DIGEST = "e3d31134b7b4a103292c77f4e1ab900a226058333f4bd910b5f014df31b2bd9
 BANANA_REPORT_SHA256 = "2b5aa4d319d135add3c4150288ab01eaf8dbfbf78c344aa125f46a96653a5ca7"
 # make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0)
 AR1_P10_DIGEST = "44c295ddcad2b3420e27700290fca8e82aaec2df77f6e0d821b5e1501d71ae5c"
+# sha256 of report.json of make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0)
+AR1_P10_REPORT_SHA256 = "1cc117aa5bfe3ee489857081a1287bb72ca5e92a4b2b9af91c1209f7197ba5f3"
 # make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0, whitening=False)
 AR1_P10_UNWHITENED_DIGEST = "7f8114eb8dc23475634f06f00f4e9495af8614c027f155bf12a2413ade97e97c"
 # make_ar1_normal(30, 0.9 ** log(30), 0.125), RunConfig(seed=0)
@@ -63,6 +65,13 @@ def test_banana_default_report_bytes(banana_default):
 def test_ar1_p10_digest(p10_correlated):
     _, report, _ = p10_correlated
     assert ledger_digest(report.ledger) == AR1_P10_DIGEST
+
+
+def test_ar1_p10_report_bytes(p10_correlated):
+    # the same bytes for the p=10 run: twelve stages under a 10 x 10 whitening
+    _, report, _ = p10_correlated
+    text = json.dumps(_report_dict(report), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == AR1_P10_REPORT_SHA256
 
 
 def test_ar1_p10_unwhitened_digest(p10_correlated_unwhitened):

@@ -497,27 +497,15 @@ def make_state(model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None)
     """StageState over an explicit evaluated set, identity whitening."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     p = pts.shape[1]
-    cfg = config or RunConfig()
     cap = len(pts) + 512
-    buf_pts = np.empty((cap, p))
-    buf_logf = np.empty(cap)
-    buf_white = np.empty((cap, p))
-    buf_pts[: len(pts)] = pts
-    buf_logf[: len(pts)] = logf
-    spec = identity_spec(p, s)
-    buf_white[: len(pts)] = pts
-    return StageState(
-        model=model,
-        config=cfg,
-        ledger=ledger,
-        stage_next=stage_next,
-        m=m,
-        spec_white=spec,
-        pts=buf_pts,
-        logf=buf_logf,
-        white=buf_white,
-        count=len(pts),
+    state = StageState(
+        model, config or RunConfig(), ledger, m, np.empty((cap, p)), np.empty(cap), np.empty((cap, p))
     )
+    state.pts[: len(pts)] = pts
+    state.logf[: len(pts)] = logf
+    state.count = len(pts)
+    state.begin(stage_next, identity_spec(p, s))
+    return state
 
 
 def fixed_pool(points):
