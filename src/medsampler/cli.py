@@ -270,10 +270,17 @@ def _ks_uniform(u: np.ndarray) -> float:
     return float(np.max(np.maximum(grid - s, s - (grid - 1.0 / n))))
 
 
-def _truth_scores(model: DensityModel, points: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The points through the density's truth map: (u, CL2 of u, worst marginal KS of u)."""
+def _tail_share(u: np.ndarray) -> float:
+    """Share of coordinates below 0.01 or above 0.99; an exact sample gives 0.02."""
+    return float(np.mean((u < 0.01) | (u > 0.99)))
+
+
+def _truth_scores(
+    model: DensityModel, points: np.ndarray
+) -> tuple[np.ndarray, float, float, float]:
+    """The points through the density's truth map: (u, CL2, worst marginal KS, tail share of u)."""
     u = model.truth_transform(points)
-    return u, cl2_discrepancy(u), _ks_uniform(u)
+    return u, cl2_discrepancy(u), _ks_uniform(u), _tail_share(u)
 
 
 def _design_of(path) -> Design:
@@ -307,8 +314,8 @@ def cmd_diagnose(args) -> int:
             _require_truth(args, model)
             if model.p != points.shape[1]:
                 raise ConfigError(f"design has {points.shape[1]} dimensions, density has {model.p}")
-            truth_rows, cl2, ks = _truth_scores(model, points)
-        payload["truth"] = {"cl2_transformed": cl2, "marginal_max_error": ks}
+            truth_rows, cl2, ks, tail = _truth_scores(model, points)
+        payload["truth"] = {"cl2_transformed": cl2, "marginal_max_error": ks, "tail_share": tail}
 
     write_json(out / "report.json", payload)
 
@@ -374,8 +381,8 @@ def _bench_one(args, model: DensityModel, seeds: list[int]) -> dict:
     entry = {"density": args.density, "p": model.p, "med": {}, "metropolis": {}, "hammersley": {}}
 
     def score(sampler: str, points: np.ndarray, **extra) -> None:
-        _, cl2, ks = _truth_scores(model, points)
-        for key, value in {"cl2": cl2, "marginal_error": ks, **extra}.items():
+        _, cl2, ks, tail = _truth_scores(model, points)
+        for key, value in {"cl2": cl2, "marginal_error": ks, "tail_share": tail, **extra}.items():
             entry[sampler].setdefault(key, []).append(value)
 
     for seed in seeds:

@@ -485,7 +485,8 @@ def run(
 
     budget = K * n
     state = StageState(
-        model, config, ledger, m, np.empty((budget, p)), np.empty(budget), np.empty((budget, p))
+        model=model, config=config, ledger=ledger, m=m,
+        pts=np.empty((budget, p)), logf=np.empty(budget), white=np.empty((budget, p)),
     )
 
     t0 = time.perf_counter()

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import medsampler
-from medsampler.cli import _ks_uniform, main
+from medsampler.cli import _ks_uniform, _tail_share, main
 from medsampler.density import make_banana
 from medsampler.engine import _initial_lattice
 from medsampler.fileio import fmt, read_design, read_ledger, read_samples
 from medsampler.geometry import identity_spec, psi_log
+from medsampler.qmc import hammersley
 from medsampler.surrogate import fit, predict
 
 
@@ -560,6 +561,18 @@ class TestDiagnose:
         assert main(["diagnose", "--design", str(design), "--out", str(out)]) == 0
         assert self.strict_json(out / "report.json")["cl2"] > 0.0
 
+    def test_truth_reports_the_tail_share(self, tmp_path):
+        run = generate(tmp_path)
+        out = tmp_path / "diag"
+        code = main(
+            ["diagnose", "--design", str(run / "design.csv"), "--out", str(out),
+             "--truth", "--density", "banana"]
+        )
+        assert code == 0
+        u = make_banana().truth_transform(read_design(run / "design.csv").points)
+        report = json.loads((out / "report.json").read_text())
+        assert report["truth"]["tail_share"] == _tail_share(u)
+
 
 class TestFollowup:
     def test_samples_written_with_budgeted_count(self, tmp_path):
@@ -717,6 +730,24 @@ class TestBench:
         assert code == 0
         comp = json.loads((out / "comparison.json").read_text())
         assert [entry["p"] for entry in comp["sweep"]] == [1, 2]
+
+    def test_tail_share_per_seed_and_sampler(self, tmp_path):
+        code, path = self.run_bench(tmp_path, ["--seeds", "2"])
+        assert code == 0
+        comp = json.loads(path.read_text())
+        for sampler in ("med", "metropolis", "hammersley"):
+            shares = comp[sampler]["tail_share"]
+            assert len(shares) == len(comp[sampler]["cl2"])
+            assert all(0.0 <= v <= 1.0 for v in shares)
+        # the uniform density's truth map is the identity
+        assert comp["hammersley"]["tail_share"] == [_tail_share(hammersley(20, 2))]
+
+
+def test_tail_share_counts_both_outer_percents():
+    # 0.01 and 0.99 themselves lie inside; an exact uniform sample gives 0.02
+    u = np.array([[0.0, 0.5], [0.0099, 0.01], [0.99, 0.9901], [1.0, 0.3]])
+    assert _tail_share(u) == 0.5
+    assert _tail_share(np.random.default_rng(0).random((20_000, 5))) == pytest.approx(0.02, abs=0.002)
 
 
 def test_ks_uniform_is_the_worst_column():

@@ -499,7 +499,8 @@ def make_state(model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None)
     p = pts.shape[1]
     cap = len(pts) + 512
     state = StageState(
-        model, config or RunConfig(), ledger, m, np.empty((cap, p)), np.empty(cap), np.empty((cap, p))
+        model=model, config=config or RunConfig(), ledger=ledger, m=m,
+        pts=np.empty((cap, p)), logf=np.empty(cap), white=np.empty((cap, p)),
     )
     state.pts[: len(pts)] = pts
     state.logf[: len(pts)] = logf
