@@ -45,6 +45,7 @@ from .fileio import (
     write_ledger,
     write_samples,
 )
+from .geometry import identity_spec, psi_log, spec_from_sigma
 from .qmc import hammersley
 # perfbench/tracer.py wraps cli.default_theta and cli.predict; keep them importable.
 from .surrogate import default_theta, fit, predict  # noqa: F401
@@ -275,12 +276,22 @@ def _tail_share(u: np.ndarray) -> float:
     return float(np.mean((u < 0.01) | (u > 0.99)))
 
 
+def _covariance_error(model: DensityModel, points: np.ndarray) -> float | None:
+    """||L^-1 C L^-T - I||_2 for the sample covariance C and LL' the density's; None if unknown."""
+    if model.covariance is None:
+        return None
+    w = spec_from_sigma(model.covariance).whitener
+    c = np.cov(points, rowvar=False).reshape(model.p, model.p)
+    return float(np.linalg.norm(w @ c @ w.T - np.eye(model.p), 2))
+
+
 def _truth_scores(
     model: DensityModel, points: np.ndarray
-) -> tuple[np.ndarray, float, float, float]:
-    """The points through the density's truth map: (u, CL2, worst marginal KS, tail share of u)."""
+) -> tuple[np.ndarray, float, float, float, float | None]:
+    """The points through the density's truth map: (u, CL2, worst marginal KS, tail share of u,
+    covariance error or None)."""
     u = model.truth_transform(points)
-    return u, cl2_discrepancy(u), _ks_uniform(u), _tail_share(u)
+    return u, cl2_discrepancy(u), _ks_uniform(u), _tail_share(u), _covariance_error(model, points)
 
 
 def _design_of(path) -> Design:
@@ -314,8 +325,10 @@ def cmd_diagnose(args) -> int:
             _require_truth(args, model)
             if model.p != points.shape[1]:
                 raise ConfigError(f"design has {points.shape[1]} dimensions, density has {model.p}")
-            truth_rows, cl2, ks, tail = _truth_scores(model, points)
+            truth_rows, cl2, ks, tail, cov_err = _truth_scores(model, points)
         payload["truth"] = {"cl2_transformed": cl2, "marginal_max_error": ks, "tail_share": tail}
+        if cov_err is not None:
+            payload["truth"]["covariance_error"] = cov_err
 
     write_json(out / "report.json", payload)
 
@@ -380,8 +393,17 @@ def cmd_followup(args) -> int:
 def _bench_one(args, model: DensityModel, seeds: list[int]) -> dict:
     entry = {"density": args.density, "p": model.p, "med": {}, "metropolis": {}, "hammersley": {}}
 
+    # psi in one metric for every run and code version: the density's own
+    # covariance where it is known, the unit cube's axes otherwise
+    if model.covariance is not None:
+        metric = spec_from_sigma(model.covariance, s=2.0)
+    else:
+        metric = identity_spec(model.p)
+
     def score(sampler: str, points: np.ndarray, **extra) -> None:
-        _, cl2, ks, tail = _truth_scores(model, points)
+        _, cl2, ks, tail, cov_err = _truth_scores(model, points)
+        if cov_err is not None:
+            extra["covariance_error"] = cov_err
         for key, value in {"cl2": cl2, "marginal_error": ks, "tail_share": tail, **extra}.items():
             entry[sampler].setdefault(key, []).append(value)
 
@@ -390,7 +412,8 @@ def _bench_one(args, model: DensityModel, seeds: list[int]) -> dict:
         config.seed = seed
         design, report = run(model, config)
         entry["n"], entry["K"], entry["budget"] = report.n, report.K, report.budget
-        score("med", design.points, evaluations=report.budget)
+        psi = psi_log(design.points, design.logf, 1.0, metric).value
+        score("med", design.points, evaluations=report.budget, psi=psi)
 
         spec = ChainSpec(start=np.full(model.p, 0.5), length=1, seed=seed)
         mres = adaptive_metropolis(model, spec, EvaluationLedger(), eval_budget=report.budget)

@@ -87,6 +87,8 @@ class DensityModel:
     unit cube by the Rosenblatt map (Rosenblatt 1952, Ann. Math. Stat. 23),
     u_l = F(x_l | x_1..x_{l-1}), which sends an exact sample of the density to
     an iid uniform one; it is None when the density is not known in closed form.
+    ``covariance`` is the density's unit-scale covariance where it is known in
+    closed form, None otherwise.
     """
 
     p: int
@@ -96,6 +98,7 @@ class DensityModel:
     logf_original: Callable[[np.ndarray], float] | None = None
     pool: "_ExternalPool | None" = None
     truth_transform: Callable[[np.ndarray], np.ndarray] | None = None
+    covariance: np.ndarray | None = None
 
     def to_original(self, u: np.ndarray) -> np.ndarray:
         lo, hi = self.box[:, 0], self.box[:, 1]
@@ -297,6 +300,7 @@ def make_ar1_normal(p: int, rho: float, sigma: float) -> DensityModel:
         name=f"ar1-normal(p={p}, rho={rho}, sigma={sigma})",
         logf_original=logf,
         truth_transform=truth,
+        covariance=cov,
     )
 
 

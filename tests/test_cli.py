@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import medsampler
-from medsampler.cli import _ks_uniform, _tail_share, main
-from medsampler.density import make_banana
-from medsampler.engine import _initial_lattice
+from medsampler.cli import _covariance_error, _ks_uniform, _tail_share, main
+from medsampler.density import make_ar1_normal, make_banana
+from medsampler.engine import RunConfig, _initial_lattice, run
 from medsampler.fileio import fmt, read_design, read_ledger, read_samples
-from medsampler.geometry import identity_spec, psi_log
+from medsampler.geometry import identity_spec, psi_log, spec_from_sigma
 from medsampler.qmc import hammersley
 from medsampler.surrogate import fit, predict
 
@@ -572,6 +572,22 @@ class TestDiagnose:
         u = make_banana().truth_transform(read_design(run / "design.csv").points)
         report = json.loads((out / "report.json").read_text())
         assert report["truth"]["tail_share"] == _tail_share(u)
+        # banana's covariance is not known in closed form
+        assert "covariance_error" not in report["truth"]
+
+    def test_truth_reports_the_covariance_error_where_known(self, tmp_path):
+        flags = ["--density", "ar1", "--p", "3", "--rho", "0.5", "--sigma", "0.2"]
+        run_dir = tmp_path / "run"
+        code = main(["generate", *flags, "--n", "12", "--K", "3", "--out", str(run_dir)])
+        assert code == 0
+        out = tmp_path / "diag"
+        code = main(["diagnose", "--design", str(run_dir / "design.csv"), "--out", str(out),
+                     "--truth", *flags])
+        assert code == 0
+        points = read_design(run_dir / "design.csv").points
+        report = json.loads((out / "report.json").read_text())
+        want = _covariance_error(make_ar1_normal(3, 0.5, 0.2), points)
+        assert report["truth"]["covariance_error"] == want > 0.0
 
 
 class TestFollowup:
@@ -741,6 +757,40 @@ class TestBench:
             assert all(0.0 <= v <= 1.0 for v in shares)
         # the uniform density's truth map is the identity
         assert comp["hammersley"]["tail_share"] == [_tail_share(hammersley(20, 2))]
+        # and it carries no covariance
+        assert all("covariance_error" not in comp[s] for s in ("med", "metropolis", "hammersley"))
+
+    def test_ar1_psi_and_covariance_error_in_the_density_metric(self, tmp_path):
+        # psi is measured under the density's own covariance, s = 2, at
+        # gamma = 1, so it compares runs and code versions in one metric
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--density", "ar1", "--p", "3", "--rho", "0.5", "--sigma", "0.2",
+             "--n", "10", "--K", "3", "--seeds", "2", "--out", str(out)]
+        )
+        assert code == 0
+        comp = json.loads((out / "comparison.json").read_text())
+        model = make_ar1_normal(3, 0.5, 0.2)
+        metric = spec_from_sigma(model.covariance, s=2.0)
+        for seed in (0, 1):
+            design, _ = run(model, RunConfig(seed=seed, n=10, K=3))
+            assert comp["med"]["psi"][seed] == psi_log(design.points, design.logf, 1.0, metric).value
+            assert comp["med"]["covariance_error"][seed] == _covariance_error(model, design.points)
+        assert "psi" not in comp["metropolis"]
+        for sampler in ("metropolis", "hammersley"):
+            assert len(comp[sampler]["covariance_error"]) == len(comp[sampler]["cl2"])
+
+
+def test_covariance_error_of_exact_draws_is_near_zero():
+    # ||L^-1 C L^-T - I||_2 is about 2 sqrt(p / N) for N exact draws
+    model = make_ar1_normal(4, 0.9, 0.125)
+    chol = np.linalg.cholesky(model.covariance)
+    z = np.random.default_rng(0).standard_normal((50_000, 4))
+    x = 0.5 + z @ chol.T
+    assert _covariance_error(model, x) < 0.03
+    # the same draws spread twice as wide read 3
+    assert _covariance_error(model, 0.5 + 2.0 * (x - 0.5)) == pytest.approx(3.0, abs=0.1)
+    assert _covariance_error(make_banana(), x[:, :2]) is None
 
 
 def test_tail_share_counts_both_outer_percents():

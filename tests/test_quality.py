@@ -35,6 +35,6 @@ FLOORS = [
 )
 def test_reference_design_quality_floor(request, fixture, make, cl2_bound, tail_bound):
     design = request.getfixturevalue(fixture)[0]
-    _, cl2, _, tail = _truth_scores(make(), design.points)
+    _, cl2, _, tail, _ = _truth_scores(make(), design.points)
     assert cl2 <= cl2_bound
     assert tail <= tail_bound
