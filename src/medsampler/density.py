@@ -271,9 +271,10 @@ def make_ar1_normal(p: int, rho: float, sigma: float) -> DensityModel:
     """Normal density N(0.5, sigma^2 R) with AR(1) correlation R_ij = rho^|i-j|.
 
     The truth map is ndtr(L^-1 (x - 0.5)) with L the Cholesky factor of the
-    covariance: the Rosenblatt map of the untruncated normal.  It ignores the
-    truncation to the unit cube, which at p=10, rho 0.9, sigma 0.125 drops
-    4.1e-4 of the probability mass (1e7 draws, standard error 6e-6).
+    covariance: the Rosenblatt map of the untruncated normal, whose covariance
+    the model carries.  Both ignore the truncation to the unit cube, which at
+    p=10, rho 0.9, sigma 0.125 drops 4.1e-4 of the probability mass (1e7
+    draws, standard error 6e-6).
     """
     if p < 1:
         raise ConfigError(f"dimension must be >= 1, got {p}")
