@@ -3,10 +3,14 @@
 The run anneals the target from flat to full strength over K stages with
 exactly K*n density evaluations.  Each stage proposes n new points, one per
 current design point, by scoring a local candidate pool against the already
-evaluated points (pass 1: unwhitened metric, surrogate value for the
-candidate, exact values for everything else), then re-selects an n-point
-design greedily from every point evaluated so far (pass 2: whitened metric,
-no new evaluations).
+evaluated points (pass 1), then re-selects an n-point design greedily from
+every point evaluated so far (pass 2, no new evaluations).
+
+Pass 1 works in unit coordinates: a design point's region (its n nearest
+evaluated points), the candidate box around it, the surrogate and the scan
+share the unit metric, with the surrogate value for the candidate and exact
+values for everything else.  Only pass 2 whitens, by the stage's covariance
+estimate, in one product over all evaluated points.
 
 Both selection passes use the stage's target level gamma_{k+1}; the adaptive
 distance exponent uses the current level gamma_k, so early stages favor the
@@ -136,8 +140,8 @@ class StageState:
     """The run's evaluated points and the metric of the stage under way.
 
     The evaluated-point buffers are preallocated for the whole run; ``count``
-    is the committed prefix length.  ``white`` holds the same prefix under the
-    stage's whitening ``spec``, refreshed by ``begin``.
+    is the committed prefix length.  Pass 1 reads only the exponent of
+    ``spec``; pass 2 whitens by it.
     """
 
     model: DensityModel
@@ -146,16 +150,14 @@ class StageState:
     m: int
     pts: np.ndarray
     logf: np.ndarray
-    white: np.ndarray
     count: int = 0
     stage: int = 1
     spec: DistanceSpec | None = None
 
     def begin(self, stage: int, spec: DistanceSpec) -> None:
-        """Start ``stage`` under ``spec``: re-whiten the committed prefix in one product."""
+        """Start ``stage`` under ``spec``."""
         self.stage = stage
         self.spec = spec
-        self.white[: self.count] = spec.whiten(self.pts[: self.count])
         self.ledger.begin_stage(stage)
 
     def all_points(self) -> np.ndarray:
@@ -164,7 +166,6 @@ class StageState:
     def add_evaluated(self, x: np.ndarray, val: float) -> None:
         self.pts[self.count] = x
         self.logf[self.count] = val
-        self.white[self.count] = self.spec.whiten(x)
         self.count += 1
 
 
@@ -335,11 +336,12 @@ def propose_new_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pass 1: one new evaluated point per design point, in index order.
 
-    Each design point gets a local region (its n nearest evaluated points in
-    the whitened metric), a surrogate fitted to the nearest of them, and a
-    candidate pool; the candidate maximizing the minimum pairwise term against
-    the conditioning set (current design plus this stage's earlier winners,
-    unwhitened metric) is evaluated exactly.  Exactly n ledger records.
+    Each design point gets a local region (its n nearest evaluated points by
+    unit distance, ties to the earlier point), a surrogate fitted to the
+    nearest of them, and a candidate pool boxed around the region; the
+    candidate maximizing the minimum pairwise term against the conditioning
+    set (current design plus this stage's earlier winners) is evaluated
+    exactly.  All of it is in unit coordinates.  Exactly n ledger records.
     """
     cfg = state.config
     n = len(design)
@@ -355,8 +357,7 @@ def propose_new_points(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.stage, j))
         )
-        wc = state.spec.whiten(center)
-        d2 = ((state.white[: state.count] - wc[None, :]) ** 2).sum(axis=1)
+        d2 = ((state.pts[: state.count] - center[None, :]) ** 2).sum(axis=1)
         nearest = _nearest(d2, n)
         region = state.pts[nearest]
         train = nearest[: min(len(nearest), TRAINING_CAP)]
@@ -486,7 +487,7 @@ def run(
     budget = K * n
     state = StageState(
         model=model, config=config, ledger=ledger, m=m,
-        pts=np.empty((budget, p)), logf=np.empty(budget), white=np.empty((budget, p)),
+        pts=np.empty((budget, p)), logf=np.empty(budget),
     )
 
     t0 = time.perf_counter()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, SurrogateFitError
@@ -38,6 +38,10 @@ EXP_ZERO_BELOW = -746.0
 # Masking those exponents out costs about two passes over the block, which
 # pays once roughly this share of them would underflow.
 EXP_MASK_SHARE = 1.0 / 32.0
+
+# The LAPACK routines behind cho_factor and cho_solve, called with the same
+# arguments but without the wrappers' checks and copies.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,9 @@ def fit(
     are the bits of ``exp(-theta * d2)`` and its diagonal is ``1 + jitter``,
     as adding ``jitter * I`` would give.  R is exactly symmetric, so its
     transpose is a Fortran-ordered view with the same lower triangle, and
-    LAPACK factors it in place: peak memory is that one matrix.  A failed
-    factorization has overwritten part of it, so R is rebuilt before the
-    next jitter.
+    LAPACK's ``potrf`` factors it in place: peak memory is that one matrix.
+    A failed factorization has overwritten part of it, so R is rebuilt
+    before the next jitter.
     """
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     y_train = np.asarray(y_train, dtype=float).ravel()
@@ -113,23 +117,24 @@ def fit(
     jitter = jitter_start
     while True:
         np.fill_diagonal(corr, 1.0 + jitter)
-        try:
-            factor = cho_factor(corr.T, lower=True, overwrite_a=True, check_finite=False)
+        factor, info = _POTRF(corr.T, lower=True, overwrite_a=True, clean=False)
+        if info == 0:
             break
-        except LinAlgError:
-            if jitter >= JITTER_LIMIT:
-                d2 = cdist(x_train, x_train, "sqeuclidean")
-                np.fill_diagonal(d2, np.inf)
-                i, j = np.unravel_index(np.argmin(d2), d2.shape)
-                raise SurrogateFitError(
-                    f"correlation matrix not factorizable at jitter {jitter:g}; "
-                    f"closest training pair is ({min(i, j)}, {max(i, j)}) at "
-                    f"distance {np.sqrt(d2[i, j]):g}"
-                ) from None
-            _gaussian(cdist(x_train, x_train, "sqeuclidean", out=corr), theta)
-            jitter *= 10.0
+        if jitter >= JITTER_LIMIT:
+            d2 = cdist(x_train, x_train, "sqeuclidean")
+            np.fill_diagonal(d2, np.inf)
+            i, j = np.unravel_index(np.argmin(d2), d2.shape)
+            raise SurrogateFitError(
+                f"correlation matrix not factorizable at jitter {jitter:g}; "
+                f"closest training pair is ({min(i, j)}, {max(i, j)}) at "
+                f"distance {np.sqrt(d2[i, j]):g}"
+            )
+        _gaussian(cdist(x_train, x_train, "sqeuclidean", out=corr), theta)
+        jitter *= 10.0
 
-    solves = cho_solve(factor, np.column_stack([y_train, np.ones(k)]), check_finite=False)
+    solves, info = _POTRS(factor, np.column_stack([y_train, np.ones(k)]), lower=True)
+    if info != 0:
+        raise LinAlgError(f"potrs info {info}")
     rinv_y, rinv_one = np.ascontiguousarray(solves.T)
     gls_mean = float(rinv_y.sum() / rinv_one.sum())
     return SurrogateModel(

@@ -30,7 +30,14 @@ from medsampler.engine import (
     update_sigma,
 )
 from medsampler.errors import CandidatePoolError, ConfigError, DensityProtocolError
-from medsampler.geometry import LOGF_FLOOR, identity_spec, log_dist_block, psi_log
+from medsampler.geometry import (
+    LOGF_FLOOR,
+    identity_spec,
+    log_dist_block,
+    psi_log,
+    spec_from_sigma,
+)
+from medsampler.qmc import local_candidates
 
 
 # ---------------------------------------------------------------- defaults
@@ -493,19 +500,21 @@ class TestScanOrder:
 # ---------------------------------------------------------------- pass 1
 
 
-def make_state(model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None):
-    """StageState over an explicit evaluated set, identity whitening."""
+def make_state(
+    model, ledger, pts, logf, s=2.0, stage_next=2, m=30, config=None, spec=None
+):
+    """StageState over an explicit evaluated set, identity whitening unless ``spec``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     p = pts.shape[1]
     cap = len(pts) + 512
     state = StageState(
         model=model, config=config or RunConfig(), ledger=ledger, m=m,
-        pts=np.empty((cap, p)), logf=np.empty(cap), white=np.empty((cap, p)),
+        pts=np.empty((cap, p)), logf=np.empty(cap),
     )
     state.pts[: len(pts)] = pts
     state.logf[: len(pts)] = logf
     state.count = len(pts)
-    state.begin(stage_next, identity_spec(p, s))
+    state.begin(stage_next, spec or identity_spec(p, s))
     return state
 
 
@@ -640,6 +649,30 @@ class TestProposeNewPoints:
             got_x, got_logf = evaluated(pool)
             assert np.array_equal(got_x, want_x)
             assert np.array_equal(got_logf, want_logf)
+
+    def test_regions_are_the_nearest_by_unit_distance(self, monkeypatch):
+        # a 7 x 7 dyadic grid has exact distance ties; the stage metric
+        # stretches the second axis 100-fold, which pass 1 must not use
+        grid = np.array([[i / 8, j / 8] for i in range(1, 8) for j in range(1, 8)])
+        logf = np.zeros(len(grid))
+        design = Design(points=grid[::5], logf=logf[::5], stage=1, gamma=0.0)
+        ledger = EvaluationLedger()
+        spec = spec_from_sigma(np.diag([1.0, 1e-4]))
+        state = make_state(make_uniform(2), ledger, grid, logf, spec=spec)
+        seen = []
+
+        def recording(center, region, m, n_combos, existing, rng):
+            seen.append((center.copy(), region.copy(), existing.copy()))
+            return local_candidates(center, region, m, n_combos, existing, rng)
+
+        monkeypatch.setattr("medsampler.engine.local_candidates", recording)
+        propose_new_points(design, state, gamma_next=1.0)
+        assert len(seen) == len(design)
+        for center, region, existing in seen:
+            d2 = ((existing - center[None, :]) ** 2).sum(axis=1)
+            nearest = np.argsort(d2, kind="stable")[: len(design)]
+            assert np.array_equal(region, existing[nearest])
+        assert "white" not in {f.name for f in dataclasses.fields(StageState)}
 
     def test_empty_pool_leaves_after_one_call(self, monkeypatch):
         model = make_uniform(2)

@@ -64,25 +64,25 @@ class TestFit:
         assert err.max() < 1e-6
 
     def test_factorization_failure_names_closest_pair(self, monkeypatch):
-        def always_fail(*args, **kwargs):
-            raise LinAlgError("forced")
+        def always_fail(mat, **kwargs):
+            return mat, 1
 
-        monkeypatch.setattr(sg, "cho_factor", always_fail)
+        monkeypatch.setattr(sg, "_POTRF", always_fail)
         x = np.array([[0.1, 0.1], [0.9, 0.9], [0.1, 0.1 + 1e-9], [0.5, 0.5]])
         with pytest.raises(SurrogateFitError, match=r"\(0, 2\)"):
             fit(x, np.zeros(4), theta=1.0)
 
     def test_jitter_escalates_before_failing(self, monkeypatch):
         calls = []
-        real = sg.cho_factor
+        real = sg._POTRF
 
         def flaky(mat, **kwargs):
             calls.append(1)
             if len(calls) < 3:
-                raise LinAlgError("forced")
+                return mat, 1
             return real(mat, **kwargs)
 
-        monkeypatch.setattr(sg, "cho_factor", flaky)
+        monkeypatch.setattr(sg, "_POTRF", flaky)
         m = fit(np.array([[0.2], [0.8]]), np.array([0.0, 1.0]), theta=1.0)
         assert m.jitter == pytest.approx(1e-6)
 
