@@ -22,11 +22,15 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, toeplitz
+from scipy.linalg import cholesky, get_lapack_funcs, solve_triangular, toeplitz
 from scipy.special import ndtr
 
 from .errors import ConfigError, DensityProtocolError
 from .geometry import LOGF_FLOOR
+
+# The LAPACK routine behind solve_triangular; a Cholesky factor's positive
+# diagonal is never singular, so its info is always 0.
+(_TRTRS,) = get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -284,10 +288,13 @@ def make_ar1_normal(p: int, rho: float, sigma: float) -> DensityModel:
     if not 0.0 <= rho < 1.0:
         raise ConfigError(f"rho must lie in [0, 1), got {rho}")
     cov = sigma**2 * toeplitz(rho ** np.arange(p))
-    chol = cholesky(cov, lower=True)
+    # Fortran-ordered, so trtrs takes it as it is, as solve_triangular would
+    chol = np.asfortranarray(cholesky(cov, lower=True))
 
     def logf(x: np.ndarray) -> float:
-        z = solve_triangular(chol, x - 0.5, lower=True)
+        # solve_triangular's own LAPACK call, without its checks and copies;
+        # a NaN point gives a NaN value, which _evaluate rejects
+        z, _ = _TRTRS(chol, x - 0.5, lower=True, overwrite_b=True)
         return -0.5 * float(z @ z)
 
     def truth(points: np.ndarray) -> np.ndarray:

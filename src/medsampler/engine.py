@@ -21,7 +21,7 @@ report's notes.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from math import ceil, isfinite, sqrt
 
 import numpy as np
@@ -140,8 +140,11 @@ class StageState:
     """The run's evaluated points and the metric of the stage under way.
 
     The evaluated-point buffers are preallocated for the whole run; ``count``
-    is the committed prefix length.  Pass 1 reads only the exponent of
-    ``spec``; pass 2 whitens by it.
+    is the committed prefix length, and ``by_first`` holds the same points
+    sorted by their first coordinate, the order the pool's separation screen
+    reads.  Points are committed through ``extend`` and ``add_evaluated``,
+    which keep both.  Pass 1 reads only the exponent of ``spec``; pass 2
+    whitens by it.
     """
 
     model: DensityModel
@@ -150,9 +153,13 @@ class StageState:
     m: int
     pts: np.ndarray
     logf: np.ndarray
-    count: int = 0
+    count: int = field(default=0, init=False)
     stage: int = 1
     spec: DistanceSpec | None = None
+    by_first: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.by_first = np.empty_like(self.pts)
 
     def begin(self, stage: int, spec: DistanceSpec) -> None:
         """Start ``stage`` under ``spec``."""
@@ -163,7 +170,24 @@ class StageState:
     def all_points(self) -> np.ndarray:
         return self.pts[: self.count]
 
+    def sorted_points(self) -> np.ndarray:
+        """``all_points()`` sorted by first coordinate; ties in any order."""
+        return self.by_first[: self.count]
+
+    def extend(self, points: np.ndarray, logf: np.ndarray) -> None:
+        """Commit a block of evaluated points, such as the stage-1 lattice."""
+        stop = self.count + len(points)
+        self.pts[self.count : stop] = points
+        self.logf[self.count : stop] = logf
+        self.count = stop
+        self.by_first[:stop] = self.pts[np.argsort(self.pts[:stop, 0])]
+
     def add_evaluated(self, x: np.ndarray, val: float) -> None:
+        # one sorted insert moves count rows, where a sort per pool gathers
+        # them all after an argsort
+        pos = int(np.searchsorted(self.by_first[: self.count, 0], x[0], side="right"))
+        self.by_first[pos + 1 : self.count + 1] = self.by_first[pos : self.count]
+        self.by_first[pos] = x
         self.pts[self.count] = x
         self.logf[self.count] = val
         self.count += 1
@@ -284,14 +308,17 @@ def _argmax_min_term(
     cond_part = cond_part[order]
     total = len(cond)
 
-    # (cand_part + cond_part) + two_p * logd, here and below, in that
+    # (cond_part + cand_part) + two_p * logd, here and below, in that
     # association: the bound holds term by term because float addition and
-    # the positive scaling are monotone
-    bound = np.add(cand_part[:, None], cond_part[None, :8])
-    logd = log_dist_bound(cand, cond[:8], s)
+    # the positive scaling are monotone.  Blocks are (cond rows, candidates),
+    # so each candidate's min runs down a column across all candidates at
+    # once; |b - a| is |a - b| and addition commutes, so every term has the
+    # bits of its (candidate, cond) orientation.
+    bound = np.add(cond_part[:8, None], cand_part[None, :])
+    logd = log_dist_bound(cond[:8], cand, s)
     logd *= two_p
     bound += logd
-    bound = bound.min(axis=1)
+    bound = np.minimum.reduce(bound, axis=0)
     lead = int(np.argmax(bound))
     ub = np.full(m, np.inf)
     full = cand_part[lead] + cond_part + two_p * log_dist_block(cand[lead : lead + 1], cond, s)[0]
@@ -305,11 +332,11 @@ def _argmax_min_term(
         stop = min(pos + size, total)
         size = min(2 * size, 128)
         idx = np.nonzero(alive)[0]
-        terms = np.add(cand_part[idx][:, None], cond_part[None, pos:stop])
-        logd = log_dist_block(cand[idx], cond[pos:stop], s)
+        terms = np.add(cond_part[pos:stop, None], cand_part[idx][None, :])
+        logd = log_dist_block(cond[pos:stop], cand[idx], s)
         logd *= two_p
         terms += logd
-        ub[idx] = np.minimum(ub[idx], terms.min(axis=1))
+        ub[idx] = np.minimum(ub[idx], np.minimum.reduce(terms, axis=0))
         pos = stop
         alive &= ub >= level
     alive[lead] = True
@@ -357,14 +384,13 @@ def propose_new_points(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.stage, j))
         )
-        d2 = ((state.pts[: state.count] - center[None, :]) ** 2).sum(axis=1)
+        d2 = ((state.all_points() - center[None, :]) ** 2).sum(axis=1)
         nearest = _nearest(d2, n)
         region = state.pts[nearest]
-        train = nearest[: min(len(nearest), TRAINING_CAP)]
 
-        pool = local_candidates(center, region, state.m, N_COMBOS, state.all_points(), rng)
+        pool = local_candidates(center, region, state.m, N_COMBOS, state.sorted_points(), rng)
 
-        surrogate = fit(state.pts[train], state.logf[train], cfg.theta)
+        surrogate = fit(region[:TRAINING_CAP], state.logf[nearest[:TRAINING_CAP]], cfg.theta)
         yhat = np.atleast_1d(predict(surrogate, pool))
 
         size = n + j
@@ -494,9 +520,7 @@ def run(
     ledger.begin_stage(1)
     pts1 = _initial_lattice(n, p, config.seed).points()
     logf1 = eval_batch(model, pts1, ledger)
-    state.pts[:n] = pts1
-    state.logf[:n] = logf1
-    state.count = n
+    state.extend(pts1, logf1)
     design = Design(points=pts1, logf=logf1, stage=1, gamma=0.0)
 
     stages = []

@@ -78,12 +78,14 @@ def _bernoulli2(x: np.ndarray) -> np.ndarray:
     return x * x - x + 1.0 / 6.0
 
 
+@lru_cache(maxsize=8)
 def _cbc_vector(n: int, p: int) -> np.ndarray:
     """Component-by-component generating vector; works for any n >= 2.
 
     Candidates are restricted to residues coprime with n so every 1-d
     projection has n distinct values even for composite n.  Ties go to the
-    smallest candidate.
+    smallest candidate.  The search is cached per (n, p) and the vector
+    returned read-only, since every run of a dimension asks for the same one.
     """
     z = np.ones(p, dtype=int)
     k = np.arange(n)
@@ -104,6 +106,7 @@ def _cbc_vector(n: int, p: int) -> np.ndarray:
                 best_col = col
         z[l] = best_c
         prod = prod * best_col
+    z.setflags(write=False)
     return z
 
 
@@ -173,12 +176,18 @@ def _too_close(points: np.ndarray, reference: np.ndarray, delta: float) -> np.nd
     """
     r0 = reference[:, 0]
     lo = np.searchsorted(r0, points[:, 0] - 2.0 * delta, side="left")
-    hi = np.searchsorted(r0, points[:, 0] + 2.0 * delta, side="right")
-    counts = hi - lo
-    rows = np.repeat(np.arange(len(points)), counts)
-    # position of each (point, reference) pair inside its point's window
-    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    gaps = np.abs(points[rows] - reference[lo[rows] + offsets]).max(axis=1)
+    top = points[:, 0] + 2.0 * delta
+    # a window is empty unless the first reference row at or past its start
+    # lies inside it, so only the few others look up their end
+    near = np.flatnonzero(lo < len(r0))
+    near = near[r0[lo[near]] <= top[near]]
+    lo = lo[near]
+    counts = np.searchsorted(r0, top[near], side="right") - lo
+    rows = np.repeat(near, counts)
+    # reference row of each (point, reference) pair: its window start plus
+    # its position inside the window
+    refs = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    gaps = np.abs(points[rows] - reference[refs]).max(axis=1)
     mask = np.zeros(len(points), dtype=bool)
     mask[rows[gaps < delta]] = True
     return mask
@@ -200,6 +209,8 @@ def local_candidates(
     ``m`` points from a randomly shifted Halton stream, keeping only points at
     max-norm distance >= ``delta`` from every row of ``existing``.
     Degenerate box dimensions are inflated by the same threshold first.
+    ``existing`` may come in any row order; rows already sorted by their
+    first coordinate, as a run passes them, skip the sort.
 
     ``n_combos`` extra points are linear combinations w*a + (1-w)*b of the two
     region points nearest the center (the center itself excluded), with w
@@ -227,7 +238,9 @@ def local_candidates(
     span = np.maximum(hi - lo, delta)
     # one sort serves the fill screen and the combo screen; the screen's
     # mask does not depend on how ties are ordered
-    existing = np.take(existing, np.argsort(existing[:, 0]), axis=0)
+    first = existing[:, 0]
+    if np.any(first[1:] < first[:-1]):
+        existing = np.take(existing, np.argsort(first), axis=0)
 
     shift = rng.random(p)
     blocks: list[np.ndarray] = []

@@ -61,7 +61,15 @@ def _theta_rule(d2: np.ndarray) -> float:
     if len(d2) < 2:
         return np.log(2.0)
     np.fill_diagonal(d2, np.inf)
-    d_med2 = float(np.median(d2.min(axis=1)))
+    nn2 = d2.min(axis=1)
+    # np.median's bits without its overhead: the middle value, or the mean
+    # of the middle two as (a + b) / 2; the partition also places the
+    # largest value last, where a NaN would sort, so NaN distances give NaN
+    half = len(nn2) // 2
+    part = np.partition(nn2, (half - 1, half, -1))
+    d_med2 = float(part[half] if len(nn2) % 2 else (part[half - 1] + part[half]) / 2)
+    if np.isnan(part[-1]):
+        d_med2 = np.nan
     if d_med2 <= 0.0:
         return np.log(2.0)
     return np.log(2.0) / d_med2

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, toeplitz
+from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 from medsampler.diagnostics import cl2_discrepancy
 from medsampler.density import (
@@ -152,6 +152,22 @@ class TestAr1Normal:
                 x = rng.uniform(size=p)
                 want = -0.5 * (x - 0.5) @ prec @ (x - 0.5)
                 assert m.logf_original(x) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [1, 3, 10, 30])
+    def test_log_density_has_the_bits_of_solve_triangular(self, p):
+        sigma, rho = 1 / 8, 0.9
+        chol = cholesky(sigma**2 * toeplitz(rho ** np.arange(p)), lower=True)
+        m = make_ar1_normal(p, rho, sigma)
+        for x in np.random.default_rng(p).uniform(size=(1000, p)):
+            z = solve_triangular(chol, x - 0.5, lower=True)
+            assert m.logf_original(x) == -0.5 * float(z @ z)
+
+    def test_nan_point_is_rejected_before_recording(self):
+        m = make_ar1_normal(3, 0.5, 1 / 8)
+        ledger = EvaluationLedger()
+        with pytest.raises(DensityProtocolError, match="NaN"):
+            eval_logf(m, np.array([0.5, np.nan, 0.5]), ledger)
+        assert ledger.count == 0
 
     def test_rho_one_is_singular(self):
         # a singular covariance is a configuration error like any rho outside [0, 1)

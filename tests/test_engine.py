@@ -511,9 +511,7 @@ def make_state(
         model=model, config=config or RunConfig(), ledger=ledger, m=m,
         pts=np.empty((cap, p)), logf=np.empty(cap),
     )
-    state.pts[: len(pts)] = pts
-    state.logf[: len(pts)] = logf
-    state.count = len(pts)
+    state.extend(pts, logf)
     state.begin(stage_next, spec or identity_spec(p, s))
     return state
 
@@ -668,11 +666,32 @@ class TestProposeNewPoints:
         monkeypatch.setattr("medsampler.engine.local_candidates", recording)
         propose_new_points(design, state, gamma_next=1.0)
         assert len(seen) == len(design)
-        for center, region, existing in seen:
-            d2 = ((existing - center[None, :]) ** 2).sum(axis=1)
+        # the pool screen gets the points sorted by first coordinate; the
+        # region is taken in index order, so it is checked against that
+        evaluated = state.all_points()
+        for i, (center, region, existing) in enumerate(seen):
+            rows = evaluated[: len(existing)]
+            d2 = ((rows - center[None, :]) ** 2).sum(axis=1)
             nearest = np.argsort(d2, kind="stable")[: len(design)]
-            assert np.array_equal(region, existing[nearest])
+            assert np.array_equal(region, rows[nearest])
+            assert len(existing) == len(grid) + i
         assert "white" not in {f.name for f in dataclasses.fields(StageState)}
+
+    def test_sorted_copy_follows_every_winner(self):
+        # equal first coordinates in the lattice and in the winners leave
+        # ties, whose order within the copy is free
+        model = make_uniform(3)
+        ledger = EvaluationLedger()
+        pts = np.random.default_rng(12).random((40, 3))
+        pts[::4, 0] = 0.5
+        design = Design(points=pts[:13], logf=np.zeros(13), stage=1, gamma=0.0)
+        state = make_state(model, ledger, pts, np.zeros(len(pts)))
+        propose_new_points(design, state, gamma_next=1.0)
+        got = state.sorted_points()
+        want = state.all_points()
+        assert len(got) == len(pts) + len(design)
+        assert np.array_equal(got[:, 0], np.sort(want[:, 0]))
+        assert np.array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
 
     def test_empty_pool_leaves_after_one_call(self, monkeypatch):
         model = make_uniform(2)

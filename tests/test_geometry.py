@@ -126,6 +126,19 @@ class TestLogDistBlock:
             assert got.shape == (11, 1)
             assert np.array_equal(got, log_dist_reference(pts, pts[4:5], s)), f"p={p}"
 
+    @pytest.mark.parametrize("s", KERNEL_EXPONENTS)
+    def test_swapped_blocks_give_the_transpose(self, s):
+        # the pass-1 scan scores (cond rows, candidates) blocks and relies on
+        # each term having the bits of the (candidate, cond) orientation
+        for p in KERNEL_DIMS:
+            rng = np.random.default_rng(200 + p)
+            a = rng.uniform(size=(9, p))
+            b = rng.uniform(size=(6, p))
+            a[0] = b[0]
+            a[1, p - 1] = b[2, p - 1]
+            got = log_dist_block(b, a, s)
+            assert np.array_equal(got, log_dist_block(a, b, s).T), f"p={p}"
+
     def test_coincident_rows_give_neg_inf(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(size=(3, 10))

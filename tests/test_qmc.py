@@ -100,6 +100,16 @@ class TestCbcLattice:
     def test_deterministic(self):
         np.testing.assert_array_equal(cbc_lattice(31, 6).z, cbc_lattice(31, 6).z)
 
+    def test_vector_is_cached_and_read_only(self):
+        # every run of one (n, p) shares the search's result, so no caller
+        # may change it
+        first = cbc_lattice(29, 4).z
+        again = cbc_lattice(29, 4, seed=3).z
+        np.testing.assert_array_equal(first, again)
+        assert _cbc_vector(29, 4) is first
+        with pytest.raises(ValueError):
+            first[1] = 2
+
 
 class TestHammersley:
     def test_radical_inverse_hand_values(self):
@@ -211,6 +221,19 @@ class TestLocalCandidates:
         b = local_candidates(region[1], region, 20, 3, region, np.random.default_rng(6))
         np.testing.assert_array_equal(a, b)
 
+    def test_pool_does_not_depend_on_the_order_of_existing(self):
+        # a run passes its evaluated points sorted by first coordinate, and
+        # any other order is sorted inside, to the same pool
+        region = self.region()
+        rng = np.random.default_rng(8)
+        existing = np.vstack([region, rng.uniform(0.35, 0.65, size=(300, 2))])
+        existing[-40:, 0] = existing[:40, 0]
+        srt = existing[np.argsort(existing[:, 0], kind="stable")]
+        want = local_candidates(region[1], region, 60, 5, srt, np.random.default_rng(2))
+        for rows in (existing, srt[::-1], rng.permutation(existing)):
+            got = local_candidates(region[1], region, 60, 5, rows, np.random.default_rng(2))
+            np.testing.assert_array_equal(got, want)
+
     def test_unplaceable_pool_raises(self):
         region = np.array([[0.5]])
         existing = np.array([[0.5]])
@@ -281,6 +304,41 @@ class TestTooClose:
             reference[:100] + rng.uniform(-1.5e-3, 1.5e-3, size=(100, 2)),
         ])
         self.check(points, reference)
+
+    def test_windows_past_either_end(self):
+        # windows that start before the first reference row, end after the
+        # last, or lie wholly outside the reference
+        rng = np.random.default_rng(6)
+        reference = rng.uniform(0.3, 0.7, size=(50, 3))
+        # first coordinates 8 delta apart, so each window near an end holds
+        # only the end row
+        reference[:, 0] = rng.permutation(np.linspace(0.3, 0.7, 50))
+        srt = sorted_by_first(reference)
+        first, last = srt[0], srt[-1]
+        offsets = self.DELTA * np.array([-3.0, -2.0, -1.5, -0.5, 0.0, 0.5, 1.5, 2.0, 3.0])
+        points = np.vstack([
+            first + offsets[:, None] * np.array([1.0, 0.0, 0.0]),
+            last + offsets[:, None] * np.array([1.0, 0.0, 0.0]),
+            [[0.0, 0.5, 0.5], [1.0, 0.5, 0.5]],
+        ])
+        got = self.check(points, reference)
+        assert got[[3, 4, 5, 12, 13, 14]].all()
+        assert not got[-2:].any()
+
+    def test_runs_of_equal_first_coordinates(self):
+        # windows that start, end or lie inside long runs of one first
+        # coordinate, and ones that just miss a run
+        rng = np.random.default_rng(7)
+        values = np.array([0.2, 0.2 + 3e-3, 0.5, 0.8])
+        reference = rng.random((160, 3))
+        reference[:, 0] = np.repeat(values, 40)
+        points = rng.random((400, 3))
+        points[:, 0] = rng.choice(values, size=400) + rng.choice(
+            self.DELTA * np.array([-2.5, -2.0, -1.0, 0.0, 1.0, 2.0, 2.5]), size=400
+        )
+        points[:40] = reference[::4] + 0.5 * self.DELTA
+        got = self.check(points, reference)
+        assert got[:40].all()
 
     def test_pool_matches_the_tensor_screen(self, monkeypatch):
         """Evaluated points within 0.5 delta of the fill stream must reject

@@ -292,6 +292,24 @@ class TestTheta:
         d_med2 = np.median(d2.min(axis=1))
         assert np.exp(-theta * d_med2) == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 9, 10, 48, 49])
+    def test_rule_has_the_bits_of_the_median_formula(self, k):
+        # a dyadic grid ties many nearest-neighbour distances; jittered
+        # copies give distinct ones
+        rng = np.random.default_rng(k)
+        grid = np.array([[i / 8, j / 8] for i in range(8) for j in range(8)])[:k]
+        for x in (grid, grid + rng.uniform(-1e-3, 1e-3, size=grid.shape)):
+            d2 = cdist(x, x, "sqeuclidean")
+            nn = d2.copy()
+            np.fill_diagonal(nn, np.inf)
+            want = np.log(2.0) / float(np.median(nn.min(axis=1)))
+            assert sg._theta_rule(d2) == want
+
+    def test_rule_gives_nan_for_nan_distances(self):
+        x = np.random.default_rng(3).random((7, 2))
+        x[4, 1] = np.nan
+        assert np.isnan(default_theta(x))
+
     def test_sensitivity_metric_is_small_for_smooth_target(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0.3, 0.7, size=(20, 2))
