@@ -181,6 +181,9 @@ def _too_close(points: np.ndarray, reference: np.ndarray, delta: float) -> np.nd
     # lies inside it, so only the few others look up their end
     near = np.flatnonzero(lo < len(r0))
     near = near[r0[lo[near]] <= top[near]]
+    mask = np.zeros(len(points), dtype=bool)
+    if not len(near):
+        return mask
     lo = lo[near]
     counts = np.searchsorted(r0, top[near], side="right") - lo
     rows = np.repeat(near, counts)
@@ -188,7 +191,6 @@ def _too_close(points: np.ndarray, reference: np.ndarray, delta: float) -> np.nd
     # its position inside the window
     refs = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     gaps = np.abs(points[rows] - reference[refs]).max(axis=1)
-    mask = np.zeros(len(points), dtype=bool)
     mask[rows[gaps < delta]] = True
     return mask
 

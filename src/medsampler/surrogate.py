@@ -159,13 +159,18 @@ def _gaussian(d2: np.ndarray, theta: float) -> np.ndarray:
     """``exp(-theta * d2)`` written over ``d2``.
 
     ``d2 *= -theta`` rounds each product as ``-theta * d2`` does, so the
-    result has that formula's bits without its two temporaries.  When at
-    least ``EXP_MASK_SHARE`` of the exponents lie below ``EXP_ZERO_BELOW``,
-    they are set to 0 before ``exp`` and their results to +0.0 after it, the
-    value ``exp`` gives them, so ``exp`` skips its underflow path; subnormal
-    results still come from ``exp``.
+    result has that formula's bits without its two temporaries.  A block
+    whose least exponent is at or above ``EXP_ZERO_BELOW`` (or empty) goes
+    straight to ``exp``; a NaN least exponent takes the masked route, whose
+    comparisons pass NaN through.  When at least ``EXP_MASK_SHARE`` of the
+    exponents lie below ``EXP_ZERO_BELOW``, they are set to 0 before ``exp``
+    and their results to +0.0 after it, the value ``exp`` gives them, so
+    ``exp`` skips its underflow path; subnormal results still come from
+    ``exp``.
     """
     d2 *= -theta
+    if d2.min(initial=np.inf) >= EXP_ZERO_BELOW:
+        return np.exp(d2, out=d2)
     zero = d2 < EXP_ZERO_BELOW
     if np.count_nonzero(zero) < EXP_MASK_SHARE * zero.size:
         return np.exp(d2, out=d2)
@@ -183,6 +188,8 @@ def _correlation(model: SurrogateModel, xs: np.ndarray) -> np.ndarray:
 def _ratio(model: SurrogateModel, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """``num / den``, or the GLS mean where the denominator is below the floor."""
     small = np.abs(den) < DENOMINATOR_FLOOR
+    if not small.any():
+        return num / den
     return np.where(small, model.gls_mean, num / np.where(small, 1.0, den))
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import medsampler.engine as engine
 from medsampler.density import (
     EvaluationLedger,
     eval_batch,
@@ -34,6 +35,7 @@ from medsampler.geometry import (
     LOGF_FLOOR,
     identity_spec,
     log_dist_block,
+    log_dist_bound,
     psi_log,
     spec_from_sigma,
 )
@@ -295,6 +297,62 @@ def pass1_inputs(rng, p, m, n_cond, gamma):
 SCAN_EXPONENTS = [0.0, 1e-9, 0.7, 2.0 - 4.5e-12, 2.0, 3.0]
 
 
+class KernelCounts:
+    """Exact ``log_dist_block`` work done through ``medsampler.engine``.
+
+    ``pairs`` and ``pair_dims`` are keyed by pass: 1 inside a pass-1 scan
+    (``engine._argmax_min_term``), 2 outside it.  ``possible_pairs`` sums
+    candidates x conditioning points over the pass-1 scans, and
+    ``pass1_calls`` lists the (rows, columns) of each pass-1 kernel call.
+    """
+
+    def __init__(self):
+        self.pairs = {1: 0, 2: 0}
+        self.pair_dims = {1: 0, 2: 0}
+        self.possible_pairs = 0
+        self.pass1_calls = []
+        self.in_scan = False
+
+
+@pytest.fixture
+def kernel_counts(monkeypatch):
+    """Count the engine's exact kernel work, split by pass (``KernelCounts``)."""
+    counts = KernelCounts()
+
+    def counting_kernel(a, b, s):
+        pass_no = 1 if counts.in_scan else 2
+        counts.pairs[pass_no] += len(a) * len(b)
+        counts.pair_dims[pass_no] += len(a) * len(b) * a.shape[1]
+        if counts.in_scan:
+            counts.pass1_calls.append((len(a), len(b)))
+        return log_dist_block(a, b, s)
+
+    def counting_scan(cand, cand_part, cond, cond_part, s, center):
+        counts.possible_pairs += len(cand) * len(cond)
+        counts.in_scan = True
+        try:
+            return _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+        finally:
+            counts.in_scan = False
+
+    monkeypatch.setattr("medsampler.engine.log_dist_block", counting_kernel)
+    monkeypatch.setattr("medsampler.engine._argmax_min_term", counting_scan)
+    return counts
+
+
+def decoy_inputs(rng, p, m, n_cond, gamma, k=6):
+    """``pass1_inputs`` with ``k`` decoys: candidates 0..k-1 get the highest
+    parts, so they lead the bound, but each has a conditioning point 1e-5
+    away per axis that the proxy orders last, so they lose and many
+    candidates survive the bound."""
+    cand, cand_part, cond, cond_part, center = pass1_inputs(rng, p, m, n_cond, gamma)
+    cand_part[:k] += 5.0
+    near = cand[:k] + 1e-5 * rng.choice([-1.0, 1.0], size=(k, p))
+    cond = np.vstack([cond, near])
+    cond_part = np.append(cond_part, np.full(k, cond_part.max() + 5.0))
+    return cand, cand_part, cond, cond_part, center
+
+
 class TestArgmaxMinTerm:
     @pytest.mark.parametrize("s", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("trial", range(4))
@@ -417,15 +475,16 @@ class TestScanOrder:
         assert got[0] != 0 and np.isfinite(got[1])
 
     def test_unpruned_scan_memory_stays_small(self):
-        """A -inf level prunes nothing, so every chunk scores all 505
-        candidates, and a (505, 128, 10) pair tensor is 4.9 MiB.  The kernel
-        builds it in blocks of at most geometry.BLOCK_ELEMENTS values: the
-        traced peak is 6.36 MiB with 8 MB blocks, 1.93 MiB with 512 KB ones."""
+        """Every candidate sits on a conditioning point, so every score is
+        -inf, the level stays at -inf and nothing is pruned: each chunk
+        scores all of the about 500 open candidates, and a (500, 128, 10)
+        pair tensor is 4.9 MiB.  The kernel builds it in blocks of at most
+        geometry.BLOCK_ELEMENTS values: the traced peak is 1.88 MiB with
+        512 KB blocks (6.36 MiB with 8 MB ones, measured when a -inf
+        front-runner alone kept the level at -inf)."""
         rng = np.random.default_rng(13)
         cand, cand_part, cond, cond_part, center = pass1_inputs(rng, 10, 505, 298, 0.5)
-        cand_part[0] = 50.0
-        cond[-1] = cand[0]
-        cond_part[-1] = 1e6
+        cand = cond[rng.integers(len(cond), size=len(cand))]
         tracemalloc.start()
         try:
             got = _argmax_min_term(cand, cand_part, cond, cond_part, 2.0, center)
@@ -433,7 +492,7 @@ class TestScanOrder:
         finally:
             tracemalloc.stop()
         assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, 2.0, center)
-        assert got[0] != 0 and np.isfinite(got[1])
+        assert got == (0, -np.inf)
         assert peak <= 3 * 1024 * 1024
 
     @pytest.mark.parametrize("s", SCAN_EXPONENTS)
@@ -455,46 +514,88 @@ class TestScanOrder:
         got = _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
         assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
 
-    def test_bound_screen_cuts_exact_pair_dims(self, monkeypatch):
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    @pytest.mark.parametrize("p", [2, 3, 10])
+    def test_many_survivors_where_the_front_runner_loses(self, p, s, kernel_counts):
+        rng = np.random.default_rng(p)
+        args = decoy_inputs(rng, p, min(50 * p, 300), 150, gamma=0.6)
+        got = engine._argmax_min_term(*args[:4], s, args[4])
+        assert got == center_ordered_argmax(*args[:4], s, args[4])
+        assert got[0] >= 6
+        total = len(args[2])
+        completions = kernel_counts.pass1_calls.count((1, total))
+        widest_chunk = max(cols for rows, cols in kernel_counts.pass1_calls if rows > 1)
+        assert completions >= 2 and widest_chunk >= 90
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_tie_between_a_completed_survivor_and_a_lower_index(self, s):
+        """Candidates 3 and 7 mirror each other about x = 0.5 on a grid of
+        1/64ths, so every gap, and so their scores, are bit-equal.  The 8th
+        conditioning point in proxy order lies near 3, its mirror image,
+        9th, near 7: the bound makes 7 the front-runner and completes it,
+        and 3 must still win the tie."""
+        axis = np.column_stack([np.full(7, 0.5), np.arange(1, 8) / 16 + 1 / 64])
+        pairs = np.array([[0.3046875, 0.6953125], [0.125, 0.25], [0.375, 0.9375]])
+        mirrored = np.column_stack([1.0 - pairs[:, 0], pairs[:, 1]])
+        cond = np.vstack([axis, np.stack([pairs, mirrored], axis=1).reshape(-1, 2)])
+        cond_part = np.concatenate([np.full(7, -50.0), np.repeat([-40.0, -30.0, -30.0], 2)])
+        rng = np.random.default_rng(14)
+        cand = rng.integers(1, 31, size=(12, 2)) / 64
+        cand[3] = [0.3125, 0.6875]
+        cand[7] = [0.6875, 0.6875]
+        cand_part = np.full(12, -100.0)
+        cand_part[[3, 7]] = 0.0
+        center = np.array([0.5, 0.5])
+        got = _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
+        assert got[0] == 3
+        assert _argmax_min_term(cand[[7]], cand_part[[7]], cond, cond_part, s, center)[1] == got[1]
+        # the first 8 rows in proxy order are the axis points and their
+        # nearest pair's first point, as they are here
+        bound = cond_part[:8, None] + cand_part[None, :] + 4.0 * log_dist_bound(cond[:8], cand, s)
+        assert int(np.argmax(bound.min(axis=0))) == 7
+
+    @pytest.mark.parametrize("s", SCAN_EXPONENTS)
+    def test_minus_infinity_front_runner_still_prunes(self, s, kernel_counts):
+        """A front-runner at -inf sets no level, but the first chunk's
+        leader is completed and the level rises, so most pairs are never
+        scored; the scan that completed only the front-runner scored all."""
+        rng = np.random.default_rng(10)
+        cand, cand_part, cond, cond_part, center = pass1_inputs(rng, 3, 100, 60, 0.5)
+        cand_part[0] = 50.0
+        cond[-1] = cand[0]
+        cond_part[-1] = 1e6
+        got = engine._argmax_min_term(cand, cand_part, cond, cond_part, s, center)
+        assert got == center_ordered_argmax(cand, cand_part, cond, cond_part, s, center)
+        assert got[0] != 0 and np.isfinite(got[1])
+        assert kernel_counts.pairs[1] <= 0.5 * len(cand) * len(cond)
+
+    def test_bound_screen_cuts_exact_pair_dims(self, kernel_counts):
         """Candidates whose power-mean bound falls short of the level never
-        reach the exact kernel.  Exact ``log_dist_block`` pair-dims over the
-        whole run (both passes): 14,423,200 when every candidate's first chunk
-        is scored exactly, 2,027,980 with the bound screen."""
-        pair_dims = [0]
-
-        def counting_kernel(a, b, s):
-            pair_dims[0] += len(a) * len(b) * a.shape[1]
-            return log_dist_block(a, b, s)
-
-        monkeypatch.setattr("medsampler.engine.log_dist_block", counting_kernel)
+        reach the exact kernel.  Exact ``log_dist_block`` pair-dims over a
+        K=3 ar1 p=10 run (both passes): 14,423,200 when every candidate's
+        first chunk is scored exactly, 2,027,980 with the bound screen, and
+        1,903,290 with the best-first scan."""
         run(make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0, K=3))
-        assert 0 < pair_dims[0] <= 14_423_200 // 2
+        total = kernel_counts.pair_dims[1] + kernel_counts.pair_dims[2]
+        assert 0 < total <= 14_423_200 // 2
 
-    def test_pass1_scores_few_of_the_pairs(self, monkeypatch):
+    def test_pass1_scores_few_of_the_pairs(self, kernel_counts):
         """The proxy order exists to prune early: on the ar1 p=10 reference
         the center-ordered scan scored 73 % of the candidate x conditioning
         pairs in pass 1, the proxy order about 4 %."""
-        counts = {"scored": 0, "possible": 0}
-        in_pass1 = []
-
-        def counting_kernel(a, b, s):
-            if in_pass1:
-                counts["scored"] += len(a) * len(b)
-            return log_dist_block(a, b, s)
-
-        def counting_scan(cand, cand_part, cond, cond_part, s, center):
-            counts["possible"] += len(cand) * len(cond)
-            in_pass1.append(True)
-            try:
-                return _argmax_min_term(cand, cand_part, cond, cond_part, s, center)
-            finally:
-                in_pass1.pop()
-
-        monkeypatch.setattr("medsampler.engine.log_dist_block", counting_kernel)
-        monkeypatch.setattr("medsampler.engine._argmax_min_term", counting_scan)
         run(make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0, K=3))
-        assert counts["possible"] > 0
-        assert counts["scored"] / counts["possible"] <= 0.2
+        assert kernel_counts.possible_pairs > 0
+        assert kernel_counts.pairs[1] / kernel_counts.possible_pairs <= 0.2
+
+    def test_pass1_pair_dims_on_the_reference_run(self, kernel_counts):
+        """The best-first scan on the full ar1 p=10 rho 0.9 sigma 0.125
+        seed-0 run: pass 1 scored 39,971,500 exact pair-dims when only the
+        bound's argmax was completed, and 11,737,940 with every chunk's
+        leader completed.  Pass 2 does not prune and stays at 19,846,800."""
+        run(make_ar1_normal(10, 0.9, 0.125), RunConfig(seed=0))
+        assert 0 < kernel_counts.pair_dims[1] <= 15_000_000
+        assert kernel_counts.pair_dims[2] == 19_846_800
 
 
 # ---------------------------------------------------------------- pass 1

@@ -289,6 +289,21 @@ class TestTooClose:
         got = self.check(points, np.zeros((0, 2)))
         assert not got.any()
 
+    @pytest.mark.parametrize("count", [0, 1, 70])
+    def test_no_window_reaches_a_reference_row(self, count):
+        # every first coordinate lies more than 2 delta below or above the
+        # reference's, so each window ends before a row or starts past the last
+        rng = np.random.default_rng(count)
+        reference = rng.random((30, 3))
+        reference[:, 0] = rng.uniform(0.25, 0.5, size=30)
+        points = rng.random((count, 3))
+        gap = 3 * self.DELTA
+        below = rng.uniform(0.0, 0.25 - gap, size=count)
+        above = rng.uniform(0.5 + gap, 1.0, size=count)
+        points[:, 0] = np.where(rng.random(count) < 0.5, below, above)
+        got = self.check(points, reference)
+        assert got.dtype == bool and got.shape == (count,) and not got.any()
+
     def test_one_point(self):
         reference = np.array([[0.5, 0.5]])
         points = np.array([[0.5, 0.5], [0.5 + 0.9e-3, 0.5 - 0.9e-3], [0.5, 0.5 + 1e-3]])

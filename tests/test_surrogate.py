@@ -201,6 +201,44 @@ class TestGaussian:
     def test_nan_entries_pass_through(self):
         d2 = np.array([[np.nan, 0.5, 1e9], [2.0, np.nan, 746.5]])
         self.assert_bits(d2, 1.0)
+        # a NaN least exponent in an otherwise normal block
+        self.assert_bits(np.array([[np.nan, 0.5], [2.0, 740.0]]), 1.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0)])
+    def test_empty_block(self, shape):
+        self.assert_bits(np.empty(shape), 1.0)
+
+    def test_least_exponent_on_either_side_of_the_cutoff(self):
+        # the plain route takes a block whose least exponent is the cutoff
+        # itself, the masked route one a step below it
+        base = np.linspace(0.0, 700.0, 64)
+        for least in (-sg.EXP_ZERO_BELOW, np.nextafter(-sg.EXP_ZERO_BELOW, np.inf)):
+            self.assert_bits(np.append(base, least).reshape(5, 13), 1.0)
+
+
+class TestRatio:
+    """``_ratio`` divides, and takes the GLS mean below the denominator floor."""
+
+    MODEL = fit(np.array([[0.2, 0.3], [0.6, 0.5]]), np.array([1.0, 4.0]), theta=2.0)
+
+    def test_no_small_denominator_has_the_bits_of_the_quotient(self):
+        rng = np.random.default_rng(8)
+        num = rng.normal(size=200)
+        den = rng.uniform(1e-12, 3.0, size=200) * rng.choice([-1.0, 1.0], size=200)
+        den[:3] = [sg.DENOMINATOR_FLOOR, -sg.DENOMINATOR_FLOOR, np.nan]
+        got = sg._ratio(self.MODEL, num, den)
+        assert np.array_equal((num / den).view(np.uint64), got.view(np.uint64))
+
+    def test_small_denominators_take_the_gls_mean(self):
+        num = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        small = np.nextafter(sg.DENOMINATOR_FLOOR, 0.0)
+        den = np.array([0.5, small, 0.0, -small, 2.0])
+        got = sg._ratio(self.MODEL, num, den)
+        mean = self.MODEL.gls_mean
+        assert np.array_equal(got, [2.0, mean, mean, mean, 2.5])
+
+    def test_empty_block(self):
+        assert sg._ratio(self.MODEL, np.empty(0), np.empty(0)).shape == (0,)
 
 
 class TestPredict:
