@@ -13,22 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from . import geometry
 from .engine import Design
 from .errors import ConfigError
 from .geometry import dim_sum_block, identity_spec, pair_term_matrix, psi_log
-
-# Row budget of the CL2 cross term, rows * n * p <= BLOCK_ELEMENTS (or one
-# row).  It sums leaves of at most rows * n products (or 128), each in three
-# (rows + 1, n) buffers, so it holds about 3 * BLOCK_ELEMENTS / p values and no
-# (n, n) matrix.  It is kept apart from geometry's smaller kernel budget:
-# each leaf is a Python-level step, and at 2**16 a (1937, 10) CL2 runs 20
-# times as many leaves and took 1.4 to 2 times as long (213 -> 294 ms and
-# 169 -> 330 ms in two measurements on a 2-vCPU Xeon).
-BLOCK_ELEMENTS = 1 << 20
-
-# numpy's pairwise summation adds ranges of at most this many values in one
-# unrolled loop and splits longer ones in two (PW_BLOCKSIZE in its loops).
-PAIRWISE_BLOCKSIZE = 128
 
 
 @dataclass(frozen=True)
@@ -115,45 +103,31 @@ def cl2_discrepancy(points: np.ndarray) -> float:
     # The cross-term factor of dimension l is ((1 + h_i) + h_j) - 0.5|x_il - x_jl|
     # with h = c/2, the tensor form's own arithmetic.  Multiplied into a block
     # of rows from 1.0 in dimension order, it gives np.prod's left-to-right
-    # product over the axis.  The n x n products are then summed as .sum()
-    # sums the whole (n, n) matrix: numpy's pairwise tree over the flat index
-    # range, followed here down to leaves of at most `leaf` values, each built
-    # in its own rows (the first and last possibly partial) and summed by
-    # np.sum along the same tree.  The result is bit-identical to the
-    # n x n x p form without holding an (n, n) matrix.
+    # product over the axis.  Each row of products is summed by np.sum and the
+    # n row sums are summed last, so the result is the tensor form's
+    # prod(axis=2).sum(axis=1).sum() for any block size, without holding an
+    # (n, n) matrix.  The three (rows, n) buffers use geometry's budget.
     x = np.ascontiguousarray(points.T)
     h = 0.5 * c.T
     one_h = 1.0 + h
-    rows = max(1, BLOCK_ELEMENTS // (n * p))
-    leaf = max(rows * n, PAIRWISE_BLOCKSIZE)
-    # rows touched by `leaf` consecutive flat values that start mid-row
-    span = min(n, (leaf + n - 2) // n + 1)
-    prods = np.empty((span, n))
-    dist = np.empty_like(prods)
-    factor = np.empty_like(prods)
-
-    def leaf_sum(start: int, size: int) -> float:
-        lo, hi = start // n, (start + size - 1) // n + 1
-        block, d, f = prods[: hi - lo], dist[: hi - lo], factor[: hi - lo]
-        block.fill(1.0)
+    rows = max(1, geometry.BLOCK_ELEMENTS // n)
+    block = np.empty((min(rows, n), n))
+    dist = np.empty_like(block)
+    factor = np.empty_like(block)
+    row_sums = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        b, d, f = block[: hi - lo], dist[: hi - lo], factor[: hi - lo]
+        b.fill(1.0)
         for l in range(p):
             np.subtract(x[l, lo:hi, None], x[l, None, :], out=d)
             np.abs(d, out=d)
             d *= 0.5
             np.add(one_h[l, lo:hi, None], h[l, None, :], out=f)
             f -= d
-            block *= f
-        first = start - lo * n
-        return np.sum(block.reshape(-1)[first : first + size])
-
-    def tree_sum(start: int, size: int) -> float:
-        if size <= leaf:
-            return leaf_sum(start, size)
-        half = size // 2
-        half -= half % 8
-        return tree_sum(start, half) + tree_sum(start + half, size - half)
-
-    term3 = tree_sum(0, n * n) / (n * n)
+            b *= f
+        np.sum(b, axis=1, out=row_sums[lo:hi])
+    term3 = row_sums.sum() / (n * n)
     sq = (13.0 / 12.0) ** p - term2 + term3
     return math.sqrt(max(sq, 0.0))
 

@@ -37,7 +37,8 @@ LOGF_FLOOR = -1e10
 # one (rows, j, p) block of at most 512 KB of float64, so the block and its
 # (rows, j) result stay in a 2 MB L2 cache.  The block size changes no bit
 # (each pair is numpy's sum over its p contiguous values), only how much
-# scratch a many-survivor pass-1 scan or a stage's psi holds at once.
+# scratch a many-survivor pass-1 scan or a stage's psi holds at once.  The
+# CL2 cross term in diagnostics reads it too, for (rows, n) buffers.
 BLOCK_ELEMENTS = 1 << 16
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from medsampler import diagnostics
+from medsampler import geometry
 from medsampler.diagnostics import (
     cl2_discrepancy,
     diagnostics_report,
@@ -96,36 +96,9 @@ def mc_cl2_squared(points, n_samples, rng):
     return total.mean(), total.std(ddof=1) / math.sqrt(n_samples)
 
 
-def pairwise_sum(values):
-    """numpy's pairwise summation of float64 values, copied in Python.
-
-    Up to 8 values are added left to right; up to 128 go to eight strided
-    accumulators joined as a balanced tree, the leftover added last; longer
-    runs split at half the length rounded down to a multiple of 8.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        acc = list(values[:8])
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            for j in range(8):
-                acc[j] += values[i + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for v in values[stop:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
-
-
 def cl2_reference(points):
-    """CL2 closed form over the whole n x n x p cross tensor."""
+    """CL2 closed form over the whole n x n x p cross tensor, its products
+    summed row by row and the row sums summed last."""
     n, p = points.shape
     c = np.abs(points - 0.5)
     term2 = np.prod(1.0 + 0.5 * c - 0.5 * c**2, axis=1).sum() * (2.0 / n)
@@ -135,7 +108,7 @@ def cl2_reference(points):
         + 0.5 * c[None, :, :]
         - 0.5 * np.abs(points[:, None, :] - points[None, :, :])
     )
-    term3 = np.prod(cross, axis=2).sum() / (n * n)
+    term3 = np.prod(cross, axis=2).sum(axis=1).sum() / (n * n)
     return math.sqrt(max((13.0 / 12.0) ** p - term2 + term3, 0.0))
 
 
@@ -184,13 +157,10 @@ class TestCL2:
         for n in (1, 5, 40):
             assert cl2_discrepancy(rng.random((n, 4))) >= 0.0
 
-    # rows per cross-term block, forced small through the shared element
-    # budget: below one row (n * p over it), one row, and 3 and 4 rows,
-    # which split n = 4, 12 and 13 into uneven blocks.  At n = 40, 129 and
-    # 300 the pairwise tree's split points fall mid-row, so leaves start and
-    # end inside a row; one row of 40 is below numpy's 128-value block, so
-    # budgets under 4 rows there give 128-value leaves over up to 5 rows; a
-    # third of the rows per leaf gives leaves that are most of a tree level.
+    # rows per cross-term block, forced small through geometry's element
+    # budget, which diagnostics reads: below one row, one row, 3 and 4 rows,
+    # which split n = 4, 12, 13, 40 and 129 into uneven blocks, and a third
+    # of the rows.  Every budget must give the whole tensor's bits.
     @pytest.mark.parametrize("n", [1, 4, 12, 13, 40, 129, 300])
     def test_row_blocks_match_the_whole_tensor(self, monkeypatch, n):
         rng = np.random.default_rng(n)
@@ -204,30 +174,18 @@ class TestCL2:
             for pts in (drawn, snapped):
                 want = cl2_reference(pts)
                 assert cl2_discrepancy(pts) == want
-                for budget in (1, n * p, 3 * n * p, 4 * n * p, (n // 3 + 1) * n * p):
-                    monkeypatch.setattr(diagnostics, "BLOCK_ELEMENTS", budget)
+                for budget in (1, n, 3 * n, 4 * n, (n // 3 + 1) * n):
+                    monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", budget)
                     assert cl2_discrepancy(pts) == want, f"p={p} budget={budget}"
                 monkeypatch.undo()
 
-    def test_numpy_sum_is_the_pairwise_tree(self):
-        """The cross term's leaves are summed by np.sum and joined along the
-        split rule copied here; both must be numpy's own pairwise order for
-        its bits to match .sum() over the whole (n, n) matrix."""
-        rng = np.random.default_rng(11)
-        signs = rng.choice([-1.0, 1.0], size=(300, 300))
-        mat = signs * rng.random((300, 300)) * 10.0 ** rng.integers(-12, 13, size=(300, 300))
-        flat = mat.ravel().tolist()
-        assert pairwise_sum(flat) == mat.sum()
-        assert pairwise_sum(flat[1001:50_999]) == np.sum(mat.ravel()[1001:50_999])
-        # the order matters on these values: a left-to-right sum differs
-        assert sum(flat) != mat.sum()
-
-    def test_peak_memory_is_three_row_blocks(self):
-        """The cross term holds three (rows + 1, n) buffers, rows = BLOCK_ELEMENTS
-        // (n * p), and no (n, n) matrix, which alone would be 72 MB here.
-        The slack covers the (n, p) working arrays and numpy's per-call
-        iterator buffers."""
-        n, p = 3000, 10
+    @pytest.mark.parametrize("p", [2, 10, 30])
+    def test_peak_memory_is_three_row_blocks(self, p):
+        """The cross term holds three (rows, n) buffers and an (n,) vector of
+        row sums, rows = geometry.BLOCK_ELEMENTS // n whatever p is, and no
+        (n, n) matrix, which alone would be 72 MB here.  The slack covers the
+        (n, p) working arrays and numpy's per-call iterator buffers."""
+        n = 3000
         pts = np.random.default_rng(9).random((n, p))
         tracemalloc.start()
         try:
@@ -235,7 +193,7 @@ class TestCL2:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows = max(1, diagnostics.BLOCK_ELEMENTS // (n * p))
+        rows = max(1, geometry.BLOCK_ELEMENTS // n)
         slack = 8 * 8 * n * p + 256 * 1024
         assert peak <= 3 * 8 * (rows + 2) * n + slack
 
