@@ -25,9 +25,10 @@ from dataclasses import asdict, dataclass, field
 from math import ceil, isfinite, sqrt
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .density import DensityModel, EvaluationLedger, eval_batch, eval_logf
-from .errors import ConfigError, MedError
+from .errors import CandidatePoolError, ConfigError, MedError
 from .geometry import (
     DistanceSpec,
     identity_spec,
@@ -140,10 +141,8 @@ class StageState:
     """The run's evaluated points and the metric of the stage under way.
 
     The evaluated-point buffers are preallocated for the whole run; ``count``
-    is the committed prefix length, and ``by_first`` holds the same points
-    sorted by their first coordinate, the order the pool's separation screen
-    reads.  Points are committed through ``extend`` and ``add_evaluated``,
-    which keep both.  Pass 1 reads only the exponent of ``spec``; pass 2
+    is the committed prefix length.  Points are committed through ``extend``
+    and ``add_evaluated``.  Pass 1 reads only the exponent of ``spec``; pass 2
     whitens by it.
     """
 
@@ -156,10 +155,6 @@ class StageState:
     count: int = field(default=0, init=False)
     stage: int = 1
     spec: DistanceSpec | None = None
-    by_first: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.by_first = np.empty_like(self.pts)
 
     def begin(self, stage: int, spec: DistanceSpec) -> None:
         """Start ``stage`` under ``spec``."""
@@ -170,24 +165,14 @@ class StageState:
     def all_points(self) -> np.ndarray:
         return self.pts[: self.count]
 
-    def sorted_points(self) -> np.ndarray:
-        """``all_points()`` sorted by first coordinate; ties in any order."""
-        return self.by_first[: self.count]
-
     def extend(self, points: np.ndarray, logf: np.ndarray) -> None:
         """Commit a block of evaluated points, such as the stage-1 lattice."""
         stop = self.count + len(points)
         self.pts[self.count : stop] = points
         self.logf[self.count : stop] = logf
         self.count = stop
-        self.by_first[:stop] = self.pts[np.argsort(self.pts[:stop, 0])]
 
     def add_evaluated(self, x: np.ndarray, val: float) -> None:
-        # one sorted insert moves count rows, where a sort per pool gathers
-        # them all after an argsort
-        pos = int(np.searchsorted(self.by_first[: self.count, 0], x[0], side="right"))
-        self.by_first[pos + 1 : self.count + 1] = self.by_first[pos : self.count]
-        self.by_first[pos] = x
         self.pts[self.count] = x
         self.logf[self.count] = val
         self.count += 1
@@ -385,6 +370,12 @@ def propose_new_points(
     candidate maximizing the minimum pairwise term against the conditioning
     set (current design plus this stage's earlier winners) is evaluated
     exactly.  All of it is in unit coordinates.  Exactly n ledger records.
+
+    The winner must lie at max-norm distance >= ``DELTA_SEPARATION`` from
+    every evaluated point, so no evaluation repeats or nearly repeats an
+    earlier one.  A winner that fails is dropped from the pool and the scan
+    runs again over the rest; ``CandidatePoolError`` is raised when every
+    candidate of a pool fails.
     """
     cfg = state.config
     n = len(design)
@@ -404,22 +395,32 @@ def propose_new_points(
         nearest = _nearest(d2, n)
         region = state.pts[nearest]
 
-        pool = local_candidates(center, region, state.m, N_COMBOS, state.sorted_points(), rng)
+        pool = local_candidates(center, region, state.m, N_COMBOS, rng)
 
         surrogate = fit(region[:TRAINING_CAP], state.logf[nearest[:TRAINING_CAP]], cfg.theta)
         yhat = np.atleast_1d(predict(surrogate, pool))
 
         size = n + j
-        best, _ = _argmax_min_term(
-            pool,
-            gamma_next * yhat,
-            cond[:size],
-            gamma_next * cond_logf[:size],
-            state.spec.s,
-            center,
-        )
+        while True:
+            best, _ = _argmax_min_term(
+                pool,
+                gamma_next * yhat,
+                cond[:size],
+                gamma_next * cond_logf[:size],
+                state.spec.s,
+                center,
+            )
+            x_new = pool[best]
+            if cdist(x_new[None, :], state.all_points(), "chebyshev").min() >= DELTA_SEPARATION:
+                break
+            pool = np.delete(pool, best, axis=0)
+            yhat = np.delete(yhat, best)
+            if not len(pool):
+                raise CandidatePoolError(
+                    f"every candidate of design point {j} in stage {state.stage} lies "
+                    f"within {DELTA_SEPARATION} of an evaluated point"
+                )
 
-        x_new = pool[best]
         val = eval_logf(state.model, x_new, state.ledger)
         state.add_evaluated(x_new, val)
         cond[size] = x_new

@@ -14,7 +14,7 @@ class SurrogateFitError(MedError):
 
 
 class CandidatePoolError(MedError):
-    """A local candidate pool could not place its candidates at the separation."""
+    """Every candidate of a local pool lies within the separation of an evaluated point."""
 
 
 class DensityProtocolError(MedError):

@@ -18,9 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CandidatePoolError, ConfigError
+from .errors import ConfigError
 
-# Minimum max-norm separation between a fresh candidate and any evaluated point.
+# Minimum max-norm separation between a newly evaluated point and every earlier one.
 DELTA_SEPARATION = 1e-6
 
 # Linear-combination candidates per local pool.
@@ -160,39 +160,10 @@ def halton_block(start: int, count: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _halton_cached(start: int, count: int, p: int) -> np.ndarray:
-    block = halton_block(start, count, p)
+def _halton_cached(count: int, p: int) -> np.ndarray:
+    block = halton_block(0, count, p)
     block.setflags(write=False)
     return block
-
-
-def _too_close(points: np.ndarray, reference: np.ndarray, delta: float) -> np.ndarray:
-    """Boolean mask of rows of ``points`` within max-norm ``delta`` of ``reference``.
-
-    ``reference`` must be sorted by its first coordinate.  A max-norm hit
-    needs ``|x0 - r0| < delta``, so a ``searchsorted`` window on that
-    coordinate, widened to ``2 * delta`` so that rounding of its ends can
-    never drop a hit, screens almost every pair before the exact check.
-    """
-    r0 = reference[:, 0]
-    lo = np.searchsorted(r0, points[:, 0] - 2.0 * delta, side="left")
-    top = points[:, 0] + 2.0 * delta
-    # a window is empty unless the first reference row at or past its start
-    # lies inside it, so only the few others look up their end
-    near = np.flatnonzero(lo < len(r0))
-    near = near[r0[lo[near]] <= top[near]]
-    mask = np.zeros(len(points), dtype=bool)
-    if not len(near):
-        return mask
-    lo = lo[near]
-    counts = np.searchsorted(r0, top[near], side="right") - lo
-    rows = np.repeat(near, counts)
-    # reference row of each (point, reference) pair: its window start plus
-    # its position inside the window
-    refs = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    gaps = np.abs(points[rows] - reference[refs]).max(axis=1)
-    mask[rows[gaps < delta]] = True
-    return mask
 
 
 def local_candidates(
@@ -200,32 +171,27 @@ def local_candidates(
     region: np.ndarray,
     m: int,
     n_combos: int,
-    existing: np.ndarray,
     rng: np.random.Generator,
-    delta: float = DELTA_SEPARATION,
 ) -> np.ndarray:
-    """Candidate pool for one local region: the (rows, p) array of ``m`` fills
-    followed by the kept combos.
+    """Candidate pool for one local region: the (m + combos, p) array of ``m``
+    fills followed by the combos.
 
     ``region`` is the neighborhood point set whose bounding box is filled with
-    ``m`` points from a randomly shifted Halton stream, keeping only points at
-    max-norm distance >= ``delta`` from every row of ``existing``.
-    Degenerate box dimensions are inflated by the same threshold first.
-    ``existing`` may come in any row order; rows already sorted by their
-    first coordinate, as a run passes them, skip the sort.
+    the first ``m`` points of a randomly shifted Halton stream.  Degenerate
+    box dimensions are inflated by ``DELTA_SEPARATION`` first.
 
     ``n_combos`` extra points are linear combinations w*a + (1-w)*b of the two
     region points nearest the center (the center itself excluded), with w
-    uniform on [-0.5, 1.5] and the result clipped to the unit cube.  Combos
-    too close to an evaluated point are dropped.  Rows are not deduplicated:
-    copies of one row share its coordinates, so whichever copy wins, the
-    stage evaluates the same point.
+    uniform on [-0.5, 1.5] and the result clipped to the unit cube.  The rng
+    draws the fill shift first, then w.
+
+    No row is screened against the evaluated points: pass 1 checks the
+    separation of the one candidate it evaluates (``engine.propose_new_points``).
+    Rows are not deduplicated either: copies of one row share its coordinates,
+    so whichever copy wins, the stage evaluates the same point.
     """
     center = np.asarray(center, dtype=float)
     region = np.atleast_2d(np.asarray(region, dtype=float))
-    existing = np.atleast_2d(np.asarray(existing, dtype=float))
-    if existing.size == 0:
-        existing = existing.reshape(0, center.shape[0])
     p = center.shape[0]
     if m < 1:
         raise ConfigError(f"need m >= 1 fill points, got {m}")
@@ -233,38 +199,17 @@ def local_candidates(
     lo = region.min(axis=0)
     hi = region.max(axis=0)
     flat = hi - lo <= 0.0
-    lo[flat] -= delta
-    hi[flat] += delta
+    lo[flat] -= DELTA_SEPARATION
+    hi[flat] += DELTA_SEPARATION
     np.clip(lo, 0.0, 1.0, out=lo)
     np.clip(hi, 0.0, 1.0, out=hi)
-    span = np.maximum(hi - lo, delta)
-    # one sort serves the fill screen and the combo screen; the screen's
-    # mask does not depend on how ties are ordered
-    first = existing[:, 0]
-    if np.any(first[1:] < first[:-1]):
-        existing = np.take(existing, np.argsort(first), axis=0)
+    span = np.maximum(hi - lo, DELTA_SEPARATION)
 
     shift = rng.random(p)
-    blocks: list[np.ndarray] = []
-    filled = 0
-    start = 0
-    max_draws = 200 * m
-    while filled < m and start < max_draws:
-        count = min(m + 64, max_draws - start)
-        # the sum lies in [0, 2), so one exact subtraction is the mod 1
-        block = _halton_cached(start, count, p) + shift[None, :]
-        block -= block >= 1.0
-        start += count
-        pts = lo[None, :] + block * span[None, :]
-        pts = pts[~_too_close(pts, existing, delta)]
-        blocks.append(pts)
-        filled += len(pts)
-    if filled < m:
-        raise CandidatePoolError(
-            f"could not place {m} candidates at separation {delta} "
-            f"inside box of span {span.min():.3g}..{span.max():.3g}"
-        )
-    fill_pts = np.concatenate(blocks)[:m]
+    # the sum lies in [0, 2), so one exact subtraction is the mod 1
+    block = _halton_cached(m, p) + shift[None, :]
+    block -= block >= 1.0
+    fill_pts = lo[None, :] + block * span[None, :]
 
     combo_pts = np.zeros((0, p))
     not_center = region[np.max(np.abs(region - center[None, :]), axis=1) > 0.0]
@@ -272,7 +217,6 @@ def local_candidates(
         order = np.argsort(np.sum((not_center - center[None, :]) ** 2, axis=1))
         a, b = not_center[order[0]], not_center[order[1]]
         w = rng.uniform(-0.5, 1.5, size=n_combos)
-        raw = np.clip(w[:, None] * a[None, :] + (1.0 - w)[:, None] * b[None, :], 0.0, 1.0)
-        combo_pts = raw[~_too_close(raw, existing, delta)]
+        combo_pts = np.clip(w[:, None] * a[None, :] + (1.0 - w)[:, None] * b[None, :], 0.0, 1.0)
 
     return np.vstack([fill_pts, combo_pts])

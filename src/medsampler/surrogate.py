@@ -57,11 +57,16 @@ class SurrogateModel:
 
 
 def _theta_rule(d2: np.ndarray) -> float:
-    """``default_theta`` from the squared distance matrix; fills its diagonal."""
+    """``default_theta`` from the squared distance matrix, left as it was found.
+
+    The diagonal is set to +inf for the row minima and back to 0.0, the
+    self-distance, after them.
+    """
     if len(d2) < 2:
         return np.log(2.0)
     np.fill_diagonal(d2, np.inf)
     nn2 = d2.min(axis=1)
+    np.fill_diagonal(d2, 0.0)
     # np.median's bits without its overhead: the middle value, or the mean
     # of the middle two as (a + b) / 2; the partition also places the
     # largest value last, where a NaN would sort, so NaN distances give NaN

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import medsampler.engine as engine
 from medsampler.density import (
@@ -39,7 +40,7 @@ from medsampler.geometry import (
     psi_log,
     spec_from_sigma,
 )
-from medsampler.qmc import local_candidates
+from medsampler.qmc import DELTA_SEPARATION, local_candidates
 
 
 # ---------------------------------------------------------------- defaults
@@ -760,39 +761,56 @@ class TestProposeNewPoints:
         state = make_state(make_uniform(2), ledger, grid, logf, spec=spec)
         seen = []
 
-        def recording(center, region, m, n_combos, existing, rng):
-            seen.append((center.copy(), region.copy(), existing.copy()))
-            return local_candidates(center, region, m, n_combos, existing, rng)
+        def recording(center, region, m, n_combos, rng):
+            seen.append((center.copy(), region.copy()))
+            return local_candidates(center, region, m, n_combos, rng)
 
         monkeypatch.setattr("medsampler.engine.local_candidates", recording)
         propose_new_points(design, state, gamma_next=1.0)
         assert len(seen) == len(design)
-        # the pool screen gets the points sorted by first coordinate; the
-        # region is taken in index order, so it is checked against that
+        # design point i chooses among the grid and the i winners before it
         evaluated = state.all_points()
-        for i, (center, region, existing) in enumerate(seen):
-            rows = evaluated[: len(existing)]
+        for i, (center, region) in enumerate(seen):
+            rows = evaluated[: len(grid) + i]
             d2 = ((rows - center[None, :]) ** 2).sum(axis=1)
             nearest = np.argsort(d2, kind="stable")[: len(design)]
             assert np.array_equal(region, rows[nearest])
-            assert len(existing) == len(grid) + i
         assert "white" not in {f.name for f in dataclasses.fields(StageState)}
 
-    def test_sorted_copy_follows_every_winner(self):
-        # equal first coordinates in the lattice and in the winners leave
-        # ties, whose order within the copy is free
-        model = make_uniform(3)
+    def test_winner_near_an_evaluated_point_gives_way_to_the_next_best(self, monkeypatch):
+        # the evaluated point near A is outside the conditioning set (the
+        # design), so the scan ranks A first; the separation check drops it
+        model = make_uniform(2)
         ledger = EvaluationLedger()
-        pts = np.random.default_rng(12).random((40, 3))
-        pts[::4, 0] = 0.5
-        design = Design(points=pts[:13], logf=np.zeros(13), stage=1, gamma=0.0)
-        state = make_state(model, ledger, pts, np.zeros(len(pts)))
-        propose_new_points(design, state, gamma_next=1.0)
-        got = state.sorted_points()
-        want = state.all_points()
-        assert len(got) == len(pts) + len(design)
-        assert np.array_equal(got[:, 0], np.sort(want[:, 0]))
-        assert np.array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
+        design = Design(
+            points=np.array([[0.2, 0.2]]), logf=np.array([0.0]), stage=1, gamma=0.0
+        )
+        a, b, c = [0.9, 0.9], [0.6, 0.6], [0.5, 0.5]
+        evaluated = np.array([[0.2, 0.2], [0.9, 0.9 + 0.5e-6]])
+        state = make_state(model, ledger, evaluated, np.zeros(2))
+        monkeypatch.setattr(
+            "medsampler.engine.local_candidates", lambda *a_, **k: fixed_pool([c, a, b])
+        )
+        monkeypatch.setattr(
+            "medsampler.engine.predict", lambda sm, x: np.zeros(len(x))
+        )
+        new_pts, _ = propose_new_points(design, state, gamma_next=1.0)
+        assert np.array_equal(new_pts[0], b)
+        assert np.array_equal(ledger.points(), [b])
+
+    def test_pool_wholly_within_the_separation_raises(self, monkeypatch):
+        model = make_uniform(2)
+        ledger = EvaluationLedger()
+        design = Design(
+            points=np.array([[0.5, 0.5]]), logf=np.array([0.0]), stage=1, gamma=0.0
+        )
+        evaluated = np.array([[0.5, 0.5], [0.8, 0.3]])
+        state = make_state(model, ledger, evaluated, np.zeros(2))
+        pool = evaluated + np.array([[0.5e-6, 0.0], [0.0, -0.9e-6]])
+        monkeypatch.setattr("medsampler.engine.local_candidates", lambda *a_, **k: pool)
+        with pytest.raises(CandidatePoolError):
+            propose_new_points(design, state, gamma_next=1.0)
+        assert ledger.count == 0
 
     def test_empty_pool_leaves_after_one_call(self, monkeypatch):
         model = make_uniform(2)
@@ -815,6 +833,15 @@ class TestProposeNewPoints:
 
 
 # ---------------------------------------------------------------- full runs
+
+
+@pytest.mark.parametrize("fixture", ["banana_default", "p10_correlated"])
+def test_no_two_evaluations_lie_within_the_separation(request, fixture):
+    _, report, _ = request.getfixturevalue(fixture)
+    x = report.ledger.points()
+    gaps = cdist(x, x, "chebyshev")
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() >= DELTA_SEPARATION
 
 
 @pytest.fixture(scope="module")

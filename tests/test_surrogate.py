@@ -343,6 +343,15 @@ class TestTheta:
             want = np.log(2.0) / float(np.median(nn.min(axis=1)))
             assert sg._theta_rule(d2) == want
 
+    def test_rule_leaves_the_distance_matrix_unchanged(self):
+        # fit builds R in this matrix, so a left-over +inf diagonal would
+        # reach _gaussian
+        x = np.random.default_rng(6).random((12, 3))
+        d2 = cdist(x, x, "sqeuclidean")
+        before = d2.copy()
+        sg._theta_rule(d2)
+        assert np.array_equal(d2, before)
+
     def test_rule_gives_nan_for_nan_distances(self):
         x = np.random.default_rng(3).random((7, 2))
         x[4, 1] = np.nan
